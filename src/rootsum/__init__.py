@@ -27,7 +27,6 @@ from .derivsum import (
     sum_direct,
 )
 from .falling import (
-    FallingFactorial,
     IntegralityVerdict,
     ValuationBounds,
     falling_mod,
@@ -81,7 +80,6 @@ __all__ = [
     "mod_inv",
     "crt_combine",
     # falling
-    "FallingFactorial",
     "IntegralityVerdict",
     "ValuationBounds",
     "falling_mod",

@@ -10,7 +10,8 @@ unless --timing is given, so identical configs produce byte-identical
 payloads regardless of worker count.
 
 Exit codes: 0 success / clean scan; 1 scan found mismatches or lemma
-failures; 2 usage error.  Inputs for n and moduli are capped at 2**31.
+failures; 2 usage error.  Inputs for n and moduli are capped at 2**31,
+and scan --jobs at MAX_JOBS = 64 worker processes.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .harness import (
     scan,
 )
 
-__all__ = ["main", "build_parser", "UsageError", "MAX_INPUT"]
+__all__ = ["main", "build_parser", "UsageError", "MAX_INPUT", "MAX_JOBS"]
 
 MAX_INPUT = 2**31
+MAX_JOBS = 64
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -95,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="verify the criterion on a whole range")
     p_scan.add_argument("--max-n", type=int, required=True, dest="max_n")
     p_scan.add_argument("--max-k", type=int, required=True, dest="max_k")
-    p_scan.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p_scan.add_argument(
+        "--jobs", type=int, default=1, help=f"worker processes, at most {MAX_JOBS} (default 1)"
+    )
     p_scan.add_argument(
         "--check-lemmas",
         action="store_true",
@@ -262,6 +266,8 @@ def _cmd_scan(args) -> int:
     max_k = _check_cap("max-k", args.max_k)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jobs > MAX_JOBS:
+        raise UsageError(f"--jobs must be <= {MAX_JOBS}, got {args.jobs}")
     cfg = ScanConfig(
         max_n=max_n, max_k=max_k, parallelism=args.jobs, check_lemmas=args.check_lemmas
     )

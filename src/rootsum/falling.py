@@ -27,7 +27,6 @@ from .numtheory import (
 )
 
 __all__ = [
-    "FallingFactorial",
     "IntegralityVerdict",
     "ValuationBounds",
     "falling_mod",
@@ -48,34 +47,6 @@ def _falling_int(n: int, k: int, m: int) -> int:
     for f in range(n, n - k, -1):
         prod = prod * f % m
     return prod
-
-
-@dataclass(frozen=True)
-class FallingFactorial:
-    """The product base * (base-1) * ... * (base-depth+1).
-
-    Value 1 when depth = 0; value 0 exactly when 0 <= base < depth.  For
-    depth >= 1 every d in {1, ..., depth} divides the value.
-    """
-
-    base: int
-    depth: int
-
-    def __post_init__(self) -> None:
-        if self.base < 0 or self.depth < 0:
-            raise ValueError("base and depth must be nonnegative")
-
-    def exact(self) -> int:
-        out = 1
-        for f in range(self.base, self.base - self.depth, -1):
-            out *= f
-        return out
-
-    def mod(self, m: int) -> Residue:
-        return falling_mod(self.base, self.depth, m)
-
-    def valuation(self, p: int) -> Valuation:
-        return falling_valuation(self.base, self.depth, p)
 
 
 def falling_mod(n: int, k: int, m: int) -> Residue:

@@ -7,9 +7,10 @@ hunt_weakened() does the same with one clause hypothesis deliberately
 dropped, to surface the cases proving the hypothesis necessary.  bench()
 times the fast criterion against full summation.
 
-Work is partitioned by n: each n carries its own root enumeration and all
-k values, so units are independent and the merged report is identical
-regardless of worker count.
+Both scan() and hunt_weakened() run one per-n unit, _scan_unit(): it
+enumerates the roots of unity mod n once and checks every k against each
+root.  Units are independent, so scan() can spread them over worker
+processes and the merged report is identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional
 
 from .criterion import predict_vanishing, roots_of_unity
 from .derivsum import (
@@ -167,22 +168,27 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
     return failures
 
 
-def _scan_unit(args: tuple[int, int, bool]) -> tuple[int, list[MismatchRecord], list[str]]:
-    n, max_k, check_lemmas = args
+def _scan_unit(
+    n: int, max_k: int, drop: str, check_lemmas: bool
+) -> tuple[int, list[MismatchRecord], list[str]]:
+    """Root count, criterion/oracle disagreements and lemma failures at one n.
+
+    drop selects the criterion as in hunt_weakened; DROP_NONE is the full one.
+    """
     roots = roots_of_unity(n)
     mismatches: list[MismatchRecord] = []
     for k in range(max_k + 1):
         for alpha in roots:
-            verdict = predict_vanishing(n, k, alpha)
-            residue = sum_direct(SumQuery(n=n, k=k, alpha=alpha, modulus=n)).value
-            if verdict.vanishes_predicted != (residue == 0):
+            predicted, clauses = _weakened_clauses(n, k, alpha, drop)
+            residue = _sum_mod(n, k, alpha, n)
+            if predicted != (residue == 0):
                 mismatches.append(
                     MismatchRecord(
                         n=n,
                         k=k,
                         alpha=alpha,
-                        clauses=tuple(sorted(verdict.clauses)),
-                        predicted=verdict.vanishes_predicted,
+                        clauses=tuple(sorted(clauses)),
+                        predicted=predicted,
                         oracle_residue=residue,
                     )
                 )
@@ -198,13 +204,13 @@ def scan(cfg: ScanConfig) -> ScanReport:
     (n, k, alpha).  Mismatches are data, not errors.
     """
     t0 = time.perf_counter()
-    args = [(n, cfg.max_k, cfg.check_lemmas) for n in range(1, cfg.max_n + 1)]
+    args = [(n, cfg.max_k, DROP_NONE, cfg.check_lemmas) for n in range(1, cfg.max_n + 1)]
     if cfg.parallelism == 1:
-        units = [_scan_unit(a) for a in args]
+        units = [_scan_unit(*a) for a in args]
     else:
         chunk = max(1, len(args) // (cfg.parallelism * 8))
         with multiprocessing.Pool(cfg.parallelism) as pool:
-            units = pool.map(_scan_unit, args, chunksize=chunk)
+            units = pool.starmap(_scan_unit, args, chunksize=chunk)
     mismatches: list[MismatchRecord] = []
     lemma_failures: list[str] = []
     roots_total = 0
@@ -222,8 +228,10 @@ def scan(cfg: ScanConfig) -> ScanReport:
     )
 
 
-def _weakened_clauses(n: int, k: int, alpha: int, drop: str) -> tuple[bool, tuple[str, ...]]:
+def _weakened_clauses(n: int, k: int, alpha: int, drop: str) -> tuple[bool, Collection[str]]:
     verdict = predict_vanishing(n, k, alpha)
+    if drop == DROP_NONE:
+        return verdict.vanishes_predicted, verdict.clauses
     clauses = set(verdict.clauses)
     witness = verdict.witness
     if drop == DROP_CLAUSE_C_ALPHA:
@@ -237,7 +245,7 @@ def _weakened_clauses(n: int, k: int, alpha: int, drop: str) -> tuple[bool, tupl
         # every n once k+1 = 4
         if "four_divides_n" in witness:
             clauses.add("b")
-    return bool(clauses), tuple(sorted(clauses))
+    return bool(clauses), clauses
 
 
 def hunt_weakened(max_n: int, max_k: int, drop: Optional[str]) -> list[MismatchRecord]:
@@ -257,21 +265,7 @@ def hunt_weakened(max_n: int, max_k: int, drop: Optional[str]) -> list[MismatchR
         raise ValueError("hunt_weakened requires max_n >= 0 and max_k >= 0")
     records: list[MismatchRecord] = []
     for n in range(1, max_n + 1):
-        for k in range(max_k + 1):
-            for alpha in roots_of_unity(n):
-                predicted, clauses = _weakened_clauses(n, k, alpha, drop)
-                residue = _sum_mod(n, k, alpha, n)
-                if predicted != (residue == 0):
-                    records.append(
-                        MismatchRecord(
-                            n=n,
-                            k=k,
-                            alpha=alpha,
-                            clauses=clauses,
-                            predicted=predicted,
-                            oracle_residue=residue,
-                        )
-                    )
+        records.extend(_scan_unit(n, max_k, drop, False)[1])
     records.sort(key=lambda r: (r.n, r.k, r.alpha))
     return records
 

@@ -183,6 +183,16 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "scan", "--max-n", "5", "--max-k", "2", "--jobs", "0")
         assert code == 2
 
+    def test_scan_rejects_jobs_over_ceiling_before_any_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr("rootsum.harness.multiprocessing.Pool", no_pool)
+        jobs = str(cli.MAX_JOBS + 1)
+        code, _, err = run_cli(capsys, "scan", "--max-n", "5", "--max-k", "2", "--jobs", jobs)
+        assert code == 2
+        assert str(cli.MAX_JOBS) in err
+
     def test_bad_format_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as err:
             main(["roots", "--n", "6", "--format", "xml"])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rootsum import (
     INFINITY,
-    FallingFactorial,
     falling_mod,
     falling_sum,
     falling_valuation,
@@ -167,36 +166,6 @@ class TestFallingValuation:
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
             falling_valuation(5, 2, 6)
-
-
-class TestFallingFactorial:
-    def test_exact_values(self):
-        assert FallingFactorial(5, 2).exact() == 20
-        assert FallingFactorial(5, 0).exact() == 1
-        assert FallingFactorial(3, 5).exact() == 0
-
-    def test_zero_exactly_when_base_below_depth(self):
-        for base in range(0, 15):
-            for depth in range(0, 15):
-                assert (FallingFactorial(base, depth).exact() == 0) == (base < depth)
-
-    def test_every_small_d_divides(self):
-        for base in range(0, 40):
-            for depth in range(1, 10):
-                value = FallingFactorial(base, depth).exact()
-                for d in range(1, depth + 1):
-                    assert value % d == 0
-
-    def test_mod_and_valuation_delegate(self):
-        ff = FallingFactorial(9, 4)
-        assert ff.mod(7).value == ff.exact() % 7
-        assert ff.valuation(3) == brute_valuation(ff.exact(), 3)
-
-    def test_rejects_negative_fields(self):
-        with pytest.raises(ValueError):
-            FallingFactorial(-1, 2)
-        with pytest.raises(ValueError):
-            FallingFactorial(2, -1)
 
 
 class TestIntegralityCheck:

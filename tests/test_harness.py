@@ -95,6 +95,29 @@ class TestHuntWeakened:
         with pytest.raises(ValueError):
             hunt_weakened(5, 2, "clause-a")
 
+    def test_finds_every_counterexample(self):
+        from oracles import brute_sum, naive_is_prime
+
+        def weakened(drop, n, k, alpha):
+            # the three clauses with one hypothesis dropped
+            q = k + 1
+            if q == 4:
+                return drop == DROP_CLAUSE_B or n % 4 != 0
+            if naive_is_prime(q):
+                return n % q != 0 or (drop != DROP_CLAUSE_C_ALPHA and alpha % q != 1)
+            return True
+
+        for drop in (DROP_CLAUSE_C_ALPHA, DROP_CLAUSE_B):
+            expected = set()
+            for n in range(1, 41):
+                for alpha in (a for a in range(n) if pow(a, n, n) == 1 % n):
+                    for k in range(7):
+                        residue = brute_sum(n, k, alpha, n)
+                        if weakened(drop, n, k, alpha) != (residue == 0):
+                            expected.add((n, k, alpha, residue))
+            got = {(r.n, r.k, r.alpha, r.oracle_residue) for r in hunt_weakened(40, 6, drop)}
+            assert expected and got == expected
+
     def test_weakened_mismatches_are_real_disagreements(self):
         from rootsum import sum_vanishes_oracle
 
