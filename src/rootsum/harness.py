@@ -23,6 +23,7 @@ from typing import Collection, Optional
 
 from .criterion import predict_vanishing, roots_of_unity
 from .derivsum import (
+    CongruenceReport,
     SumQuery,
     _sum_mod,
     closed_form_congruence,
@@ -31,7 +32,7 @@ from .derivsum import (
     sum_direct,
 )
 from .falling import falling_mod, falling_sum, valuation_bounds
-from .numtheory import factorize
+from .numtheory import _valuation_of_int, factorize
 
 __all__ = [
     "DROP_CLAUSE_B",
@@ -114,6 +115,12 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
     telescoping sum identity in multiplied form, the near-unity congruence
     for every prime p | n, and a few Leibnitz closed-form probes.  Returns
     human-readable failure strings; an empty list means all checks passed.
+
+    The near-unity report depends on alpha only through alpha mod p^(l+e),
+    with l = nu_p(n) and e = nu_p(k+1), since the sum is evaluated mod that
+    power.  It is therefore computed once per residue class for each (p, k)
+    and reused for every other alpha in the class; failures are still
+    reported once per alpha, in ascending alpha order.
     """
     failures: list[str] = []
 
@@ -148,10 +155,14 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
         if lhs != rhs:
             failures.append(f"telescoping sum identity: n={n} k={k} lhs={lhs} rhs={rhs}")
 
-    for p, _ in factorize(n):
+    for p, ell in factorize(n):
         for k in range(max_k + 1):
+            m = p ** (ell + _valuation_of_int(k + 1, p))
+            reports: dict[int, CongruenceReport] = {}
             for alpha in range(1, n, p):
-                report = closed_form_congruence(n, k, alpha, p)
+                report = reports.get(alpha % m)
+                if report is None:
+                    report = reports[alpha % m] = closed_form_congruence(n, k, alpha, p)
                 if not report.congruent:
                     failures.append(
                         f"near-unity congruence: n={n} k={k} p={p} alpha={alpha} "
@@ -174,12 +185,18 @@ def _scan_unit(
     """Root count, criterion/oracle disagreements and lemma failures at one n.
 
     drop selects the criterion as in hunt_weakened; DROP_NONE is the full one.
+    Every clause, weakened or not, reads alpha only through alpha mod (k+1),
+    so each verdict is decided once per (k, alpha mod (k+1)).
     """
     roots = roots_of_unity(n)
     mismatches: list[MismatchRecord] = []
     for k in range(max_k + 1):
+        verdicts: dict[int, tuple[bool, Collection[str]]] = {}
         for alpha in roots:
-            predicted, clauses = _weakened_clauses(n, k, alpha, drop)
+            verdict = verdicts.get(alpha % (k + 1))
+            if verdict is None:
+                verdict = verdicts[alpha % (k + 1)] = _weakened_clauses(n, k, alpha, drop)
+            predicted, clauses = verdict
             residue = _sum_mod(n, k, alpha, n)
             if predicted != (residue == 0):
                 mismatches.append(

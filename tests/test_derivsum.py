@@ -252,6 +252,20 @@ class TestClosedFormCongruence:
                         assert closed_form_congruence(n, k, alpha, p).congruent
         assert non_root_seen
 
+    @given(st.integers(2, 300), st.integers(0, 12), st.data())
+    @settings(max_examples=300)
+    def test_depends_on_alpha_only_mod_p_to_the_l_plus_e(self, n, k, data):
+        # the harness computes one report per residue class mod p^(l+e)
+        p = data.draw(st.sampled_from([p for p, _ in factorize(n)]))
+        m = p ** (brute_valuation(n, p) + brute_valuation(k + 1, p))
+        alpha = 1 + p * data.draw(st.integers(0, n // p))
+        j = data.draw(st.integers(-5, 5).filter(bool))
+        base = closed_form_congruence(n, k, alpha, p)
+        shifted = closed_form_congruence(n, k, alpha + j * m, p)
+        assert shifted.lhs_times_kp1 == base.lhs_times_kp1
+        assert shifted.rhs_times_kp1 == base.rhs_times_kp1
+        assert shifted.congruent == base.congruent
+
 
 class TestExpansionTermValuations:
     def test_single_step_weight(self):

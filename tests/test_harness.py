@@ -1,5 +1,8 @@
 """Tests for the scan / hunt / bench harness."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from rootsum import (
@@ -12,6 +15,7 @@ from rootsum import (
     roots_of_unity,
     scan,
 )
+from rootsum import harness
 
 
 class TestScan:
@@ -57,6 +61,53 @@ class TestScan:
     def test_elapsed_is_recorded(self):
         report = scan(ScanConfig(max_n=5, max_k=2))
         assert report.elapsed_seconds > 0
+
+
+class TestResidueClassMemos:
+    def test_near_unity_checked_once_per_class_and_reported_per_alpha(self, monkeypatch):
+        from oracles import brute_valuation
+
+        real = harness.closed_form_congruence
+        calls = []
+
+        def failing_one_class(n, k, alpha, p):
+            # 72 = 2^3 * 3^2 and nu_3(3) = 1, so the class of 4 mod 27 at (p, k) = (3, 2)
+            calls.append((p, k, alpha))
+            report = real(n, k, alpha, p)
+            if (p, k) == (3, 2) and alpha % 27 == 4:
+                return dataclasses.replace(report, congruent=False)
+            return report
+
+        monkeypatch.setattr(harness, "closed_form_congruence", failing_one_class)
+        n, max_k = 72, 5
+        failures = harness._lemma_checks(n, max_k)
+
+        report = real(n, 2, 4, 3)
+        tail = f"lhs={report.lhs_times_kp1.value} rhs={report.rhs_times_kp1.value}"
+        assert failures == [
+            f"near-unity congruence: n=72 k=2 p=3 alpha={alpha} {tail}" for alpha in (4, 31, 58)
+        ]
+        for p in (2, 3):
+            for k in range(max_k + 1):
+                m = p ** (brute_valuation(n, p) + brute_valuation(k + 1, p))
+                called = [alpha % m for q, kk, alpha in calls if (q, kk) == (p, k)]
+                assert sorted(called) == sorted({alpha % m for alpha in range(1, n, p)})
+
+    def test_scan_unit_decides_once_per_k_and_alpha_mod_k_plus_1(self, monkeypatch):
+        real = harness.predict_vanishing
+        calls = Counter()
+
+        def counting(n, k, alpha):
+            calls[k] += 1
+            return real(n, k, alpha)
+
+        monkeypatch.setattr(harness, "predict_vanishing", counting)
+        n, max_k = 72, 6
+        roots = roots_of_unity(n)
+        for drop in (DROP_NONE, DROP_CLAUSE_C_ALPHA, DROP_CLAUSE_B):
+            calls.clear()
+            harness._scan_unit(n, max_k, drop, False)
+            assert calls == {k: len({a % (k + 1) for a in roots}) for k in range(max_k + 1)}
 
 
 class TestHuntWeakened:
