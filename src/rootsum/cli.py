@@ -5,9 +5,9 @@ Subcommands: eval (one sum), roots (enumerate roots of unity), check
 hunt (counterexamples for weakened criteria), bench (timings).  Output is
 plain text by default; --format json/csv select machine formats.
 
-Machine output is deterministic: timing is excluded from json and csv
-unless --timing is given, so identical configs produce byte-identical
-payloads regardless of worker count.
+Machine output is deterministic: timing is excluded from JSON unless
+--timing is given (CSV never carries it), so identical configs produce
+byte-identical payloads regardless of worker count.
 
 Exit codes: 0 success / clean scan; 1 scan found mismatches or lemma
 failures; 2 usage error.  Inputs for n and moduli are capped at 2**31,
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--timing",
         action="store_true",
-        help="include elapsed_ms in json/csv output (off by default so "
+        help="include elapsed_ms in JSON output (off by default so "
         "machine output is byte-stable)",
     )
     add_format(p_scan)

@@ -77,20 +77,19 @@ def _falling_row(n: int, k: int, m: int) -> tuple[int, ...]:
 
 
 def _sum_mod(n: int, k: int, alpha: int, m: int) -> int:
+    # Horner form: ff_k + a*(ff_(k+1) + a*(... + a*ff_(n-1)))
     a = alpha % m
     total = 0
-    power = 1 % m
-    for ff in _falling_row(n, k, m):
-        total = (total + ff * power) % m
-        power = power * a % m
+    for ff in reversed(_falling_row(n, k, m)):
+        total = (total * a + ff) % m
     return total
 
 
 def sum_direct(q: SumQuery) -> Residue:
     """Evaluate S(n, k, alpha) mod modulus by direct summation.
 
-    Runs over i from k to n-1 with a running power of alpha, so the cost is
-    one k-term falling product plus two multiplications per term.  Returns
+    Runs over i from n-1 down to k in Horner form, so the cost is one
+    k-term falling product plus one multiply-add per term.  Returns
     0 when n <= k (empty sum).
     """
     return Residue(_sum_mod(q.n, q.k, q.alpha, q.modulus), q.modulus)
@@ -114,13 +113,6 @@ def sum_by_crt(n: int, k: int, alpha: int) -> Residue:
     return crt_combine(parts)
 
 
-def _factorial_mod(k: int, m: int) -> int:
-    out = 1 % m
-    for f in range(2, k + 1):
-        out = out * f % m
-    return out
-
-
 def _leibnitz_rhs(n: int, k: int, t: int, m: int) -> int:
     """The product-rule closed form of S(n, k, t) mod m.
 
@@ -137,7 +129,7 @@ def _leibnitz_rhs(n: int, k: int, t: int, m: int) -> int:
     """
     u = mod_inv(1 - t, m).value
     t_red = t % m
-    rhs = -(pow(t_red, n, m) - 1) * _factorial_mod(k, m) % m * pow(u, k + 1, m) % m
+    rhs = -(pow(t_red, n, m) - 1) * _falling_int(k, k, m) % m * pow(u, k + 1, m) % m
     for i in range(k):
         if k - i > n:
             continue

@@ -4,8 +4,8 @@ The falling factorial n-falling-k is n(n-1)...(n-k+1): the k-th derivative
 of t^n picks it up as a coefficient.  It equals 1 for k = 0 and equals 0
 whenever 0 <= n < k, because the factor range then crosses zero.  This
 module evaluates falling factorials modulo m, computes their p-adic
-valuations factor by factor, sums them over index blocks, and analyses when
-(n-1)-falling-k divided by k+1 is an integer.
+valuations by Legendre's formula, sums them over index blocks, and analyses
+when (n-1)-falling-k divided by k+1 is an integer.
 
 Quotients like (n-1)-falling-k over k+1 are never materialized as
 rationals; every integrality or sign question is answered through per-prime
@@ -24,6 +24,7 @@ from .numtheory import (
     _require_prime,
     _valuation_of_int,
     factorize,
+    legendre,
 )
 
 __all__ = [
@@ -59,18 +60,16 @@ def falling_mod(n: int, k: int, m: int) -> Residue:
 
 
 def falling_valuation(n: int, k: int, p: int) -> Valuation:
-    """nu_p of n-falling-k, summed over the k factors.
+    """nu_p of n-falling-k = n! / (n-k)!, by Legendre's formula.
 
     INFINITY when the product is 0 (n < k); 0 for the empty product k = 0.
     """
     if n < 0 or k < 0:
         raise ValueError("falling_valuation requires n >= 0 and k >= 0")
     _require_prime(p)
-    if k == 0:
-        return 0
     if n < k:
         return INFINITY
-    return sum(_valuation_of_int(f, p) for f in range(n - k + 1, n + 1))
+    return legendre(n, p) - legendre(n - k, p)
 
 
 def falling_sum(n0: int, n1: int, k: int, m: int) -> Residue:
@@ -110,9 +109,8 @@ def integrality_check(n: int, k: int) -> IntegralityVerdict:
     """Decide integrality of (n-1)-falling-k over k+1 by p-adic valuations."""
     if n < 1 or k < 0:
         raise ValueError("integrality_check requires n >= 1 and k >= 0")
-    for p, e in factorize(k + 1):
-        v = falling_valuation(n - 1, k, p)
-        if v < e:
+    for p, _ in factorize(k + 1):
+        if valuation_bounds(n, k, p).fraction_negative:
             if k + 1 == 4:
                 clause = "i"
             elif k + 1 == p:

@@ -247,21 +247,16 @@ def scan(cfg: ScanConfig) -> ScanReport:
 
 def _weakened_clauses(n: int, k: int, alpha: int, drop: str) -> tuple[bool, Collection[str]]:
     verdict = predict_vanishing(n, k, alpha)
-    if drop == DROP_NONE:
-        return verdict.vanishes_predicted, verdict.clauses
-    clauses = set(verdict.clauses)
+    clauses: Collection[str] = verdict.clauses
     witness = verdict.witness
-    if drop == DROP_CLAUSE_C_ALPHA:
+    if drop == DROP_CLAUSE_C_ALPHA and "q" in witness:
         # clause c loses its alpha escape hatch: it fires only when q does
         # not divide n
-        clauses.discard("c")
-        if "q" in witness and not witness["q_divides_n"]:
-            clauses.add("c")
-    elif drop == DROP_CLAUSE_B:
+        clauses = () if witness["q_divides_n"] else ("c",)
+    elif drop == DROP_CLAUSE_B and "four_divides_n" in witness:
         # clause b loses the 4-does-not-divide-n condition: it fires for
         # every n once k+1 = 4
-        if "four_divides_n" in witness:
-            clauses.add("b")
+        clauses = ("b",)
     return bool(clauses), clauses
 
 

@@ -64,19 +64,8 @@ class Residue:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic primality test: trial division through factorize."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> Factorization:

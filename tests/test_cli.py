@@ -96,6 +96,12 @@ class TestScanCommand:
         _, out, _ = run_cli(capsys, "scan", "--max-n", "5", "--max-k", "1", "--format", "json", "--timing")
         assert "elapsed_ms" in json.loads(out)
 
+    def test_timing_leaves_csv_unchanged(self, capsys):
+        argv = ("scan", "--max-n", "5", "--max-k", "1", "--format", "csv")
+        _, plain, _ = run_cli(capsys, *argv)
+        _, timed, _ = run_cli(capsys, *argv, "--timing")
+        assert timed == plain
+
     def test_json_byte_identical_across_jobs(self, capsys):
         _, out1, _ = run_cli(capsys, "scan", "--max-n", "30", "--max-k", "4", "--format", "json", "--jobs", "1")
         _, out2, _ = run_cli(capsys, "scan", "--max-n", "30", "--max-k", "4", "--format", "json", "--jobs", "3")

@@ -53,8 +53,15 @@ class TestResidue:
 
 class TestIsPrime:
     def test_matches_naive_scan(self):
-        for n in range(0, 500):
+        # negative n must be rejected before factorize, which raises below 1
+        for n in range(-50, 500):
             assert is_prime(n) == naive_is_prime(n), n
+
+    def test_large_exact_cases(self):
+        assert is_prime(2**31 - 1)
+        assert 3 * 715827883 == 2**31 + 1
+        assert not is_prime(2**31 + 1)
+        assert not is_prime(2 * 1_000_000_007)
 
 
 class TestFactorize:
@@ -80,7 +87,7 @@ class TestFactorize:
             fac = factorize(n)
             primes = [p for p, _ in fac]
             assert primes == sorted(primes) and len(set(primes)) == len(primes)
-            assert all(is_prime(p) for p in primes)
+            assert all(naive_is_prime(p) for p in primes)
             assert all(e >= 1 for _, e in fac)
             prod = 1
             for p, e in fac:
