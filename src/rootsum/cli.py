@@ -215,11 +215,11 @@ def _cmd_roots(args) -> int:
     n = _check_cap("n", args.n, minimum=1)
     rs = roots_of_unity(n)
     if args.format == "json":
-        _emit_json({"n": n, "count": len(rs), "roots": list(rs.roots)})
+        _emit_json({"n": n, "count": len(rs), "roots": list(rs)})
     elif args.format == "csv":
-        _emit_csv(["alpha"], [[a] for a in rs.roots])
+        _emit_csv(["alpha"], [[a] for a in rs])
     else:
-        listing = " ".join(str(a) for a in rs.roots)
+        listing = " ".join(str(a) for a in rs)
         print(f"{len(rs)} roots of unity modulo {n}: {listing}")
     return EXIT_OK
 

@@ -9,9 +9,9 @@ is divisible by n if and only if at least one of three clauses holds:
   c: k+1 is a prime q, and q does not divide n or alpha != 1 (mod q).
 
 predict_vanishing evaluates the clauses from the arithmetic of k+1, n and
-alpha alone, in time independent of n's size; sum_vanishes_oracle answers
-the same question by direct summation.  The two must agree on every
-n-th root of unity mod n, and the scan harness checks exactly that.
+alpha alone, in time independent of n's size.  The ground truth is direct
+summation, derivsum.sum_direct: the two must agree on every n-th root of
+unity mod n, and the scan harness checks exactly that.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from .numtheory import is_prime, mod_pow
 
 __all__ = [
     "CriterionVerdict",
-    "RootSet",
     "Explanation",
     "predict_vanishing",
-    "sum_vanishes_oracle",
     "roots_of_unity",
     "explain",
 ]
@@ -48,27 +46,6 @@ class CriterionVerdict:
     vanishes_predicted: bool
     clauses: frozenset[str]
     witness: dict
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """All alpha in [0, n) with alpha^n == 1 (mod n), ascending.
-
-    These residues form a group under multiplication mod n; 1 is always a
-    member (0 when n = 1, where every residue is 0).
-    """
-
-    modulus: int
-    roots: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __contains__(self, alpha: int) -> bool:
-        return alpha % self.modulus in self.roots
 
 
 @dataclass(frozen=True)
@@ -119,19 +96,17 @@ def predict_vanishing(n: int, k: int, alpha: int) -> CriterionVerdict:
     )
 
 
-def sum_vanishes_oracle(n: int, k: int, alpha: int) -> bool:
-    """Ground truth: does S(n, k, alpha) vanish mod n?  Direct summation."""
-    return sum_direct(SumQuery(n=n, k=k, alpha=alpha, modulus=n)).value == 0
+def roots_of_unity(n: int) -> tuple[int, ...]:
+    """Every alpha in [0, n) with alpha^n == 1 (mod n), ascending.
 
-
-def roots_of_unity(n: int) -> RootSet:
-    """Enumerate every n-th root of unity mod n by exhaustive scan."""
+    Found by exhaustive scan.  These residues form a group under
+    multiplication mod n; 1 is always a member (0 when n = 1, where every
+    residue is 0).
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     one = 1 % n
-    return RootSet(
-        modulus=n, roots=tuple(a for a in range(n) if mod_pow(a, n, n).value == one)
-    )
+    return tuple(a for a in range(n) if mod_pow(a, n, n).value == one)
 
 
 def explain(n: int, k: int, alpha: int) -> Explanation:

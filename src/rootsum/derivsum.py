@@ -26,11 +26,11 @@ from .numtheory import (
     INFINITY,
     Residue,
     Valuation,
+    _legendre,
     _require_prime,
     _valuation_of_int,
     crt_combine,
     factorize,
-    legendre,
     mod_inv,
 )
 
@@ -257,7 +257,7 @@ def expansion_term_valuations(
     y_val: Valuation = INFINITY if y == 0 else _valuation_of_int(y, p)
     terms = []
     for j in range(1, j_max + 1):
-        weight = INFINITY if y == 0 else j * y_val - legendre(j, p)
+        weight = INFINITY if y == 0 else j * y_val - _legendre(j, p)
         fraction = falling_valuation(n - 1, k + j, p) - _valuation_of_int(k + j + 1, p)
         if weight < 1:
             raise ArithmeticError(

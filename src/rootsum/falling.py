@@ -21,10 +21,10 @@ from .numtheory import (
     INFINITY,
     Residue,
     Valuation,
+    _legendre,
     _require_prime,
     _valuation_of_int,
     factorize,
-    legendre,
 )
 
 __all__ = [
@@ -69,7 +69,7 @@ def falling_valuation(n: int, k: int, p: int) -> Valuation:
     _require_prime(p)
     if n < k:
         return INFINITY
-    return legendre(n, p) - legendre(n - k, p)
+    return _legendre(n, p) - _legendre(n - k, p)
 
 
 def falling_sum(n0: int, n1: int, k: int, m: int) -> Residue:

@@ -121,6 +121,11 @@ def legendre(j: int, p: int) -> int:
     if j < 0:
         raise ValueError(f"legendre requires j >= 0, got {j}")
     _require_prime(p)
+    return _legendre(j, p)
+
+
+def _legendre(j: int, p: int) -> int:
+    # legendre without its checks, for callers that have already checked p
     total = 0
     q = p
     while q <= j:

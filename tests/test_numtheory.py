@@ -12,13 +12,17 @@ from rootsum import (
     NotAUnitError,
     Residue,
     crt_combine,
+    expansion_term_valuations,
     factorize,
+    falling_valuation,
     is_prime,
     legendre,
     mod_inv,
     mod_pow,
     nu_p,
+    valuation_bounds,
 )
+from rootsum import numtheory
 from oracles import (
     brute_valuation,
     crt_brute_search,
@@ -167,6 +171,30 @@ class TestLegendre:
             legendre(-1, 2)
         with pytest.raises(ValueError):
             legendre(10, 4)
+
+
+class TestPrimeCheckedOncePerCall:
+    # each valuation helper checks p itself, then sums Legendre unchecked
+    @pytest.mark.parametrize(
+        "fn, args, checks",
+        [
+            (falling_valuation, (12, 5, 3), 1),
+            (valuation_bounds, (12, 5, 3), 2),
+            (expansion_term_valuations, (12, 2, 5, 2, 6), 7),
+        ],
+        ids=["falling_valuation", "valuation_bounds", "expansion_term_valuations"],
+    )
+    def test_is_prime_calls(self, monkeypatch, fn, args, checks):
+        real = numtheory.is_prime
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(numtheory, "is_prime", counting)
+        fn(*args)
+        assert len(calls) == checks
 
 
 class TestModPow:
