@@ -11,7 +11,14 @@ byte-identical payloads regardless of worker count.
 
 Exit codes: 0 success / clean scan; 1 scan found mismatches or lemma
 failures; 2 usage error.  Inputs for n and moduli are capped at 2**31,
-and scan --jobs at MAX_JOBS = 64 worker processes.
+scan --jobs at MAX_JOBS = 64 worker processes, and roots at
+MAX_ROOTS = 2**20 roots: the count is known from the factorization of n
+before any root is built, and a larger count is a usage error.
+
+Limits that are not capped: eval, check and bench cost O(k^2 log n) on
+the doubling route and O((n-k) * k) on direct summation (see
+derivsum.sum_direct), so a large k stays expensive at any n; scan and hunt
+grow with the range they are given.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import json
 import sys
 from typing import Optional
 
-from .criterion import Explanation, explain, roots_of_unity
+from .criterion import Explanation, explain, root_count, roots_of_unity
 from .derivsum import SumQuery, sum_direct
 from .harness import (
     DROP_CLAUSE_B,
@@ -37,10 +44,11 @@ from .harness import (
     scan,
 )
 
-__all__ = ["main", "build_parser", "UsageError", "MAX_INPUT", "MAX_JOBS"]
+__all__ = ["main", "build_parser", "UsageError", "MAX_INPUT", "MAX_JOBS", "MAX_ROOTS"]
 
 MAX_INPUT = 2**31
 MAX_JOBS = 64
+MAX_ROOTS = 2**20
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -84,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--modulus", type=int, required=True)
     add_format(p_eval)
 
-    p_roots = sub.add_parser("roots", help="enumerate n-th roots of unity mod n")
+    p_roots = sub.add_parser(
+        "roots", help=f"enumerate n-th roots of unity mod n (at most {MAX_ROOTS} of them)"
+    )
     p_roots.add_argument("--n", type=int, required=True)
     add_format(p_roots)
 
@@ -213,6 +223,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_roots(args) -> int:
     n = _check_cap("n", args.n, minimum=1)
+    count = root_count(n)
+    if count > MAX_ROOTS:
+        raise UsageError(f"n = {n} has {count} roots of unity; roots lists at most {MAX_ROOTS}")
     rs = roots_of_unity(n)
     if args.format == "json":
         _emit_json({"n": n, "count": len(rs), "roots": list(rs)})

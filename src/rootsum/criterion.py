@@ -9,22 +9,25 @@ is divisible by n if and only if at least one of three clauses holds:
   c: k+1 is a prime q, and q does not divide n or alpha != 1 (mod q).
 
 predict_vanishing evaluates the clauses from the arithmetic of k+1, n and
-alpha alone, in time independent of n's size.  The ground truth is direct
-summation, derivsum.sum_direct: the two must agree on every n-th root of
-unity mod n, and the scan harness checks exactly that.
+alpha alone, in time independent of n's size.  The ground truth is
+evaluation of the sum itself, derivsum.sum_direct (direct summation, or
+binary doubling for long sums): the two must agree on every n-th root of
+unity mod n, and the scan harness checks exactly that by direct summation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .derivsum import SumQuery, sum_direct
-from .numtheory import is_prime, mod_pow
+from .numtheory import factorize, is_prime, mod_pow
 
 __all__ = [
     "CriterionVerdict",
     "Explanation",
     "predict_vanishing",
+    "root_count",
     "roots_of_unity",
     "explain",
 ]
@@ -96,17 +99,71 @@ def predict_vanishing(n: int, k: int, alpha: int) -> CriterionVerdict:
     )
 
 
-def roots_of_unity(n: int) -> tuple[int, ...]:
-    """Every alpha in [0, n) with alpha^n == 1 (mod n), ascending.
+def _subgroup_order(n: int, p: int, ell: int) -> int:
+    # number of roots mod p^ell, where p^ell || n: gcd(n, phi(p^ell))
+    return math.gcd(n, (p - 1) * p ** (ell - 1))
 
-    Found by exhaustive scan.  These residues form a group under
-    multiplication mod n; 1 is always a member (0 when n = 1, where every
-    residue is 0).
+
+def root_count(n: int) -> int:
+    """How many alpha in [0, n) satisfy alpha^n == 1 (mod n), without listing them.
+
+    The product over p^l || n of gcd(n, phi(p^l)); see roots_of_unity.
+    Costs one factorization of n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    return math.prod(_subgroup_order(n, p, ell) for p, ell in factorize(n))
+
+
+def _primitive_root(p: int) -> int:
+    # a generator of the units mod every power of the odd prime p: the least
+    # primitive root g mod p, replaced by g + p when g^(p-1) == 1 (mod p^2)
+    divisors = [r for r, _ in factorize(p - 1)]
+    g = 2
+    while any(pow(g, (p - 1) // r, p) == 1 for r in divisors):
+        g += 1
+    if pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
+
+
+def roots_of_unity(n: int) -> tuple[int, ...]:
+    """Every alpha in [0, n) with alpha^n == 1 (mod n), ascending.
+
+    Built from the factorization of n, by the chinese remainder theorem
+    over each p^l || n.  Mod 2^l every odd residue is a root, because 2^l
+    divides n and the units mod 2^l have order dividing 2^(l-1).  Mod an
+    odd p^l the units form a cyclic group of order phi(p^l), so the roots
+    are its subgroup of order d = gcd(n, phi(p^l)), generated by g^(phi/d)
+    for a generator g.  Each combined root is checked against
+    alpha^n == 1 (mod n) before it is returned.  The cost is
+    O(root_count(n) * omega(n)) plus factorizing n and each p - 1.
+
+    These residues form a group under multiplication mod n; 1 is always a
+    member (0 when n = 1, where every residue is 0).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    roots = [0]
+    for p, ell in factorize(n):
+        q = p**ell
+        d = _subgroup_order(n, p, ell)
+        if p == 2:
+            part = range(1, q, 2)
+        else:
+            h = pow(_primitive_root(p), (p - 1) * p ** (ell - 1) // d, q) if d > 1 else 1
+            part = [1]
+            for _ in range(d - 1):
+                part.append(part[-1] * h % q)
+        # unit vector of this part: 1 mod q, 0 mod n/q
+        e = n // q * pow(n // q, -1, q)
+        roots = [(x + r * e) % n for x in roots for r in part]
+    roots.sort()
     one = 1 % n
-    return tuple(a for a in range(n) if mod_pow(a, n, n).value == one)
+    for a in roots:
+        if mod_pow(a, n, n).value != one:
+            raise ArithmeticError(f"{a} is not an {n}-th root of unity mod {n}")
+    return tuple(roots)
 
 
 def explain(n: int, k: int, alpha: int) -> Explanation:

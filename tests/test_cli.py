@@ -9,6 +9,7 @@ import pytest
 import rootsum.cli as cli
 from rootsum import MismatchRecord, ScanReport
 from rootsum.cli import main
+from oracles import exact_falling
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +35,17 @@ class TestEval:
         lines = out.strip().splitlines()
         assert lines[0] == "n,k,alpha,modulus,residue"
         assert lines[1] == "4,3,1,4,2"
+
+
+    def test_at_the_input_cap(self, capsys):
+        # alpha = 1 telescopes: S = n-falling-13 / 13
+        n = 2**31
+        code, out, _ = run_cli(
+            capsys, "eval", "--n", str(n), "--k", "12", "--alpha", "1", "--modulus", "1000003",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["residue"] == exact_falling(n, 13) // 13 % 1000003
 
 
 class TestRoots:
@@ -80,6 +92,15 @@ class TestCheck:
         lines = out.strip().splitlines()
         assert lines[0].startswith("n,k,alpha,predicted,clauses")
         assert lines[1].startswith("4,3,1,False,")
+
+
+    def test_at_the_input_cap(self, capsys):
+        n = 2**31
+        code, out, _ = run_cli(capsys, "check", "--n", str(n), "--k", "4", "--alpha", "1", "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["oracle_residue"] == exact_falling(n, 5) // 5 % n
+        assert record["hypothesis_ok"] and record["agree"]
 
 
 class TestScanCommand:
@@ -198,6 +219,21 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "scan", "--max-n", "5", "--max-k", "2", "--jobs", jobs)
         assert code == 2
         assert str(cli.MAX_JOBS) in err
+
+    def test_roots_over_count_ceiling_builds_nothing(self, capsys, monkeypatch):
+        def no_roots(n):
+            raise AssertionError("roots were enumerated")
+
+        monkeypatch.setattr(cli, "roots_of_unity", no_roots)
+        code, out, err = run_cli(capsys, "roots", "--n", "1073741824", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert str(2**29) in err
+
+    def test_roots_count_ceiling_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ROOTS", 2)
+        assert run_cli(capsys, "roots", "--n", "6")[0] == 0  # 2 roots
+        assert run_cli(capsys, "roots", "--n", "8")[0] == 2  # 4 roots
 
     def test_bad_format_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as err:

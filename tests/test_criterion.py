@@ -1,5 +1,8 @@
 """Tests for the clause criterion, root enumeration and explanations."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +10,10 @@ from hypothesis import strategies as st
 from rootsum import (
     explain,
     predict_vanishing,
+    root_count,
     roots_of_unity,
 )
+from rootsum.cli import MAX_ROOTS
 from oracles import brute_sum, naive_is_prime, naive_roots
 
 
@@ -117,6 +122,62 @@ class TestRootsOfUnity:
         assert 5 in rs
         assert 11 not in rs
         assert 2 not in rs
+
+
+def gcd_product_count(n):
+    # prod over p^l || n of gcd(n, phi(p^l)), by trial division to sqrt(n)
+    count, rest, d = 1, n, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            q = 1
+            while rest % d == 0:
+                rest //= d
+                q *= d
+            count *= math.gcd(n, q // d * (d - 1))
+        d += 1
+    if rest > 1:
+        count *= math.gcd(n, rest - 1)
+    return count
+
+
+def assert_all_roots(n, rs):
+    # distinct valid roots, as many as the gcd product, are all of them
+    assert root_count(n) == gcd_product_count(n) == len(rs)
+    assert all(a < b for a, b in zip(rs, rs[1:]))
+    assert 0 <= rs[0] and rs[-1] < n
+    assert all(pow(a, n, n) == 1 % n for a in rs)
+
+
+class TestStructuralRoots:
+    def test_matches_pow_trial_to_2000(self):
+        for n in range(1, 2001):
+            one = 1 % n
+            assert roots_of_unity(n) == tuple(a for a in range(n) if pow(a, n, n) == one), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            2, 4, 2**10, 2**16,  # 2^l: every odd residue
+            3**7, 5**5, 7**4,  # p^l
+            # 5 is the least primitive root mod 40487 but 5^40486 == 1 (mod 40487^2),
+            # so only the lifted generator 5 + 40487 reaches every root
+            40487**2,
+            2 * 3**7, 2 * 7**4, 2 * 40487,  # 2 p^l
+        ],
+    )
+    def test_prime_power_shapes(self, n):
+        assert_all_roots(n, roots_of_unity(n))
+
+    def test_random_n_below_the_input_cap(self):
+        rng = random.Random(20190118)
+        checked = 0
+        while checked < 50:
+            n = rng.randrange(1, 2**31)
+            if gcd_product_count(n) > MAX_ROOTS:
+                continue
+            assert_all_roots(n, roots_of_unity(n))
+            checked += 1
 
 
 class TestExplain:

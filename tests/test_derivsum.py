@@ -1,6 +1,7 @@
 """Tests for the derivative-sum evaluators and the structural identities."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from rootsum import (
     sum_by_crt,
     sum_direct,
 )
+from rootsum import derivsum
+from rootsum.derivsum import _DOUBLING_MIN_TERMS, _sum_doubling, _sum_mod
 from oracles import brute_sum, brute_valuation, exact_falling
 
 
@@ -123,6 +126,63 @@ class TestSumByCrt:
         # alpha = 2 is not a root of unity mod 9, the routes must still agree
         assert 2 not in roots_of_unity(9)
         assert sum_by_crt(9, 4, 2).value == direct(9, 4, 2, 9)
+
+
+class TestDoublingRoute:
+    def test_against_exact_oracle(self):
+        rng = random.Random(1901)
+        cases = [(3000, 14, -7, 1), (_DOUBLING_MIN_TERMS - 1, 0, -1, 1000003)]
+        for _ in range(40):
+            n = rng.randint(_DOUBLING_MIN_TERMS - 20, 3000)
+            k = rng.randint(0, 14)
+            alpha = rng.randint(-1000, 1000)
+            m = rng.choice([1, 2, 360, 1000003, 2**31, rng.randint(1, 2**31)])
+            cases.append((n, k, alpha, m))
+        for n, k, alpha, m in cases:
+            assert _sum_doubling(n, k, alpha, m) == brute_sum(n, k, alpha, m), (n, k, alpha, m)
+
+    def test_route_boundary(self, monkeypatch):
+        # n - k at the crossover stays direct; one more term takes doubling
+        routed = []
+
+        def spy(*args):
+            routed.append(args)
+            return _sum_doubling(*args)
+
+        monkeypatch.setattr(derivsum, "_sum_doubling", spy)
+        for k in (0, 1, 5, 12):
+            for terms in (_DOUBLING_MIN_TERMS, _DOUBLING_MIN_TERMS + 1):
+                n = k + terms
+                for alpha, m in ((3, 1000003), (-2, 360), (n - 1, n)):
+                    routed.clear()
+                    assert direct(n, k, alpha, m) == _sum_mod(n, k, alpha, m)
+                    assert routed == ([(n, k, alpha, m)] if terms > _DOUBLING_MIN_TERMS else [])
+
+    def test_large_k_stays_direct(self, monkeypatch):
+        # k * bit_length(n - k) above n - k: the k^2 cost would outgrow the row
+        monkeypatch.setattr(derivsum, "_sum_doubling", None)
+        assert direct(3000, 1000, 3, 1000003) == _sum_doubling(3000, 1000, 3, 1000003)
+
+    @pytest.mark.parametrize("n", [2**31, 2 * 3 * 5 * 7 * 11 * 13 * 17])
+    def test_closed_values_at_the_input_cap(self, n):
+        # alpha = 1 telescopes to n-falling-(k+1) / (k+1); alpha = 0 leaves
+        # the single term i = k, which is k!
+        for k in range(13):
+            telescoped = exact_falling(n, k + 1) // (k + 1)
+            for m in (1, 97, 1000003, n):
+                assert direct(n, k, 1, m) == telescoped % m
+                assert direct(n, k, 0, m) == math.factorial(k) % m
+            assert sum_by_crt(n, k, 1).value == telescoped % n
+
+    def test_matches_sum_mod_on_every_root_triple(self):
+        # the acceptance range of the scan: n <= 300, k <= 12, every root
+        triples = 0
+        for n in range(1, 301):
+            for alpha in roots_of_unity(n):
+                for k in range(13):
+                    assert _sum_doubling(n, k, alpha, n) == _sum_mod(n, k, alpha, n), (n, k, alpha)
+                    triples += 1
+        assert triples == 42_835
 
 
 LEIBNITZ_MODULI = [7, 8, 9, 13, 25]
