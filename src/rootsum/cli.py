@@ -29,7 +29,7 @@ import json
 import sys
 from typing import Optional
 
-from .criterion import Explanation, explain, root_count, roots_of_unity
+from .criterion import Explanation, _root_count, explain, roots_of_unity
 from .derivsum import SumQuery, sum_direct
 from .harness import (
     DROP_CLAUSE_B,
@@ -223,7 +223,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_roots(args) -> int:
     n = _check_cap("n", args.n, minimum=1)
-    count = root_count(n)
+    count = _root_count(n)
     if count > MAX_ROOTS:
         raise UsageError(f"n = {n} has {count} roots of unity; roots lists at most {MAX_ROOTS}")
     rs = roots_of_unity(n)

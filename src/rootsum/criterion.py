@@ -27,7 +27,6 @@ __all__ = [
     "CriterionVerdict",
     "Explanation",
     "predict_vanishing",
-    "root_count",
     "roots_of_unity",
     "explain",
 ]
@@ -104,12 +103,9 @@ def _subgroup_order(n: int, p: int, ell: int) -> int:
     return math.gcd(n, (p - 1) * p ** (ell - 1))
 
 
-def root_count(n: int) -> int:
-    """How many alpha in [0, n) satisfy alpha^n == 1 (mod n), without listing them.
-
-    The product over p^l || n of gcd(n, phi(p^l)); see roots_of_unity.
-    Costs one factorization of n.
-    """
+def _root_count(n: int) -> int:
+    # how many roots roots_of_unity(n) returns, without building them: the
+    # product over p^l || n of gcd(n, phi(p^l)), at one factorization of n
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return math.prod(_subgroup_order(n, p, ell) for p, ell in factorize(n))
@@ -137,7 +133,7 @@ def roots_of_unity(n: int) -> tuple[int, ...]:
     are its subgroup of order d = gcd(n, phi(p^l)), generated by g^(phi/d)
     for a generator g.  Each combined root is checked against
     alpha^n == 1 (mod n) before it is returned.  The cost is
-    O(root_count(n) * omega(n)) plus factorizing n and each p - 1.
+    O(#roots * omega(n)) plus factorizing n and each p - 1.
 
     These residues form a group under multiplication mod n; 1 is always a
     member (0 when n = 1, where every residue is 0).

@@ -129,16 +129,11 @@ def _sum_doubling(n: int, k: int, alpha: int, m: int) -> int:
     return _falling_int(k, k, m) * total % m
 
 
-# fewest terms n - k at which a single evaluation takes the doubling route;
-# see the measurements in sum_direct
-_DOUBLING_MIN_TERMS = 1000
-
-
 def _sum_single(n: int, k: int, alpha: int, m: int) -> int:
-    # one evaluation with no row to share: doubling once n - k passes both
-    # _DOUBLING_MIN_TERMS and k * bit_length(n - k), direct summation below
+    # one evaluation with no row to share: doubling once n - k exceeds
+    # k * bit_length(n - k), direct summation below
     terms = n - k
-    if terms > _DOUBLING_MIN_TERMS and terms > k * terms.bit_length():
+    if terms > k * terms.bit_length():
         return _sum_doubling(n, k, alpha, m)
     return _sum_mod(n, k, alpha, m)
 
@@ -154,21 +149,28 @@ def sum_direct(q: SumQuery) -> Residue:
     * binary doubling over binomial sums (Vandermonde's identity), with
       no row and no division, in O(k^2 log n).
 
-    Doubling runs when n - k exceeds both 1000 and k * bit_length(n - k).
-    The first bound keeps short sums, where a memoized row wins once it is
-    reused, on direct summation; the second keeps a large k there, where
-    the k^2 cost of doubling outgrows the row.  Measured at modulus
-    1000003 and alpha 3, best of five calls on a 2-vCPU VM:
+    Doubling runs when n - k exceeds k * bit_length(n - k), the ratio of
+    the cold direct cost to the doubling cost with constants dropped.  That
+    one bound keeps a large k on direct summation, where the k^2 cost of
+    doubling outgrows the row, and sends every long sum with a small k to
+    doubling, whether or not its row would be reused: a warm row beats
+    doubling only when nearly every call repeats a key (at n = 1000,
+    k = 12, above 90% of calls), and on short sums the two differ by a few
+    microseconds.  Measured at modulus 1000003 and alpha 3, best of five
+    calls on a 2-vCPU VM:
 
-        n        k     doubling   direct cold   direct warm
-        300      12    0.18 ms    0.45 ms       0.03 ms
-        1000     12    0.24 ms    1.7 ms        0.10 ms
-        3000     12    0.29 ms    5.8 ms        0.32 ms
-        1e5      12    0.42 ms    140 ms        7.2 ms
-        2**31    12    0.87 ms    -             -
-        1000     2     0.06 ms    0.71 ms       0.08 ms
-        5000     100   3.3 ms     41 ms         0.45 ms
-        3000     1000  212 ms     168 ms        0.17 ms
+        n        k     doubling   direct cold   direct warm   route
+        20       2     0.02 ms    0.01 ms       0.002 ms      doubling
+        50       12    0.08 ms    0.04 ms       0.003 ms      direct
+        100      12    0.08 ms    0.08 ms       0.007 ms      doubling
+        300      12    0.11 ms    0.28 ms       0.03 ms       doubling
+        1000     12    0.15 ms    1.2 ms        0.07 ms       doubling
+        3000     12    0.19 ms    4.1 ms        0.29 ms       doubling
+        1e5      12    0.39 ms    161 ms        7.2 ms        doubling
+        2**31    12    0.55 ms    -             -             doubling
+        1000     2     0.06 ms    0.61 ms       0.09 ms       doubling
+        5000     100   4.8 ms     41 ms         0.36 ms       doubling
+        3000     1000  208 ms     195 ms        0.20 ms       direct
 
     Returns 0 when n <= k (empty sum).
     """
@@ -180,9 +182,8 @@ def sum_by_crt(n: int, k: int, alpha: int) -> Residue:
 
     Factorizes n, evaluates the sum mod each p^l, and recombines by the
     chinese remainder theorem.  Each part takes the route sum_direct takes
-    for (n, k): binary doubling when n - k exceeds both 1000 and
-    k * bit_length(n - k), direct summation otherwise (measurements in
-    sum_direct).  Agrees with sum_direct at modulus n for every alpha; no
+    for (n, k): binary doubling when n - k exceeds k * bit_length(n - k),
+    direct summation otherwise (measurements in sum_direct).  Agrees with sum_direct at modulus n for every alpha; no
     root-of-unity hypothesis is involved.
     """
     if n < 1:

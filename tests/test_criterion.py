@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from rootsum import (
     explain,
     predict_vanishing,
-    root_count,
     roots_of_unity,
 )
 from rootsum.cli import MAX_ROOTS
+from rootsum.criterion import _root_count
 from oracles import brute_sum, naive_is_prime, naive_roots
 
 
@@ -142,7 +142,7 @@ def gcd_product_count(n):
 
 def assert_all_roots(n, rs):
     # distinct valid roots, as many as the gcd product, are all of them
-    assert root_count(n) == gcd_product_count(n) == len(rs)
+    assert _root_count(n) == gcd_product_count(n) == len(rs)
     assert all(a < b for a, b in zip(rs, rs[1:]))
     assert 0 <= rs[0] and rs[-1] < n
     assert all(pow(a, n, n) == 1 % n for a in rs)

@@ -22,7 +22,7 @@ from rootsum import (
     sum_direct,
 )
 from rootsum import derivsum
-from rootsum.derivsum import _DOUBLING_MIN_TERMS, _sum_doubling, _sum_mod
+from rootsum.derivsum import _sum_doubling, _sum_mod
 from oracles import brute_sum, brute_valuation, exact_falling
 
 
@@ -128,21 +128,32 @@ class TestSumByCrt:
         assert sum_by_crt(9, 4, 2).value == direct(9, 4, 2, 9)
 
 
+def first_doubling_terms(k):
+    # the fewest terms n - k that sum_direct sends to doubling
+    terms = 1
+    while terms <= k * terms.bit_length():
+        terms += 1
+    return terms
+
+
 class TestDoublingRoute:
     def test_against_exact_oracle(self):
         rng = random.Random(1901)
-        cases = [(3000, 14, -7, 1), (_DOUBLING_MIN_TERMS - 1, 0, -1, 1000003)]
+        cases = [(3000, 14, -7, 1), (1, 0, -1, 1000003), (112, 14, 5, 360)]
         for _ in range(40):
-            n = rng.randint(_DOUBLING_MIN_TERMS - 20, 3000)
             k = rng.randint(0, 14)
+            n = rng.randint(max(1, k + first_doubling_terms(k) - 20), 3000)
             alpha = rng.randint(-1000, 1000)
             m = rng.choice([1, 2, 360, 1000003, 2**31, rng.randint(1, 2**31)])
             cases.append((n, k, alpha, m))
         for n, k, alpha, m in cases:
             assert _sum_doubling(n, k, alpha, m) == brute_sum(n, k, alpha, m), (n, k, alpha, m)
 
+    def test_crossover_terms(self):
+        assert [first_doubling_terms(k) for k in (0, 1, 2, 5, 12, 14)] == [1, 3, 7, 26, 85, 99]
+
     def test_route_boundary(self, monkeypatch):
-        # n - k at the crossover stays direct; one more term takes doubling
+        # one term short of the crossover stays direct; the crossover takes doubling
         routed = []
 
         def spy(*args):
@@ -150,13 +161,14 @@ class TestDoublingRoute:
             return _sum_doubling(*args)
 
         monkeypatch.setattr(derivsum, "_sum_doubling", spy)
-        for k in (0, 1, 5, 12):
-            for terms in (_DOUBLING_MIN_TERMS, _DOUBLING_MIN_TERMS + 1):
+        for k in (1, 2, 5, 12):
+            first = first_doubling_terms(k)
+            for terms in (first - 1, first):
                 n = k + terms
                 for alpha, m in ((3, 1000003), (-2, 360), (n - 1, n)):
                     routed.clear()
                     assert direct(n, k, alpha, m) == _sum_mod(n, k, alpha, m)
-                    assert routed == ([(n, k, alpha, m)] if terms > _DOUBLING_MIN_TERMS else [])
+                    assert routed == ([(n, k, alpha, m)] if terms == first else [])
 
     def test_large_k_stays_direct(self, monkeypatch):
         # k * bit_length(n - k) above n - k: the k^2 cost would outgrow the row
