@@ -2,8 +2,8 @@
 
 Subcommands: eval (one sum), roots (enumerate roots of unity), check
 (criterion vs. oracle for one case), scan (exhaustive range verification),
-hunt (counterexamples for weakened criteria), bench (timings).  Output is
-plain text by default; --format json/csv select machine formats.
+hunt (counterexamples for weakened criteria).  Output is plain text by
+default; --format json/csv select machine formats.
 
 Machine output is deterministic: timing is excluded from JSON unless
 --timing is given (CSV never carries it), so identical configs produce
@@ -15,8 +15,8 @@ scan --jobs at MAX_JOBS = 64 worker processes, and roots at
 MAX_ROOTS = 2**20 roots: the count is known from the factorization of n
 before any root is built, and a larger count is a usage error.
 
-Limits that are not capped: eval, check and bench cost O(k^2 log n) on
-the doubling route and O((n-k) * k) on direct summation (see
+Limits that are not capped: eval and check cost O(k^2 log n) on the
+doubling route and O((n-k) * k) on direct summation (see
 derivsum.sum_direct), so a large k stays expensive at any n; scan and hunt
 grow with the range they are given.
 """
@@ -35,11 +35,9 @@ from .harness import (
     DROP_CLAUSE_B,
     DROP_CLAUSE_C_ALPHA,
     DROP_NONE,
-    BenchReport,
     MismatchRecord,
     ScanConfig,
     ScanReport,
-    bench,
     hunt_weakened,
     scan,
 )
@@ -134,13 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--max-n", type=int, required=True, dest="max_n")
     p_hunt.add_argument("--max-k", type=int, required=True, dest="max_k")
     add_format(p_hunt)
-
-    p_bench = sub.add_parser("bench", help="time the fast criterion against summation")
-    p_bench.add_argument("--n", type=int, required=True)
-    p_bench.add_argument("--k", type=int, required=True)
-    p_bench.add_argument("--reps", type=int, default=10)
-    p_bench.add_argument("--alpha", type=int, default=None)
-    add_format(p_bench)
 
     return parser
 
@@ -327,44 +318,12 @@ def _cmd_hunt(args) -> int:
     return EXIT_OK
 
 
-def _bench_dict(b: BenchReport) -> dict:
-    return {
-        "n": b.n,
-        "k": b.k,
-        "alpha": b.alpha,
-        "repetitions": b.repetitions,
-        "sum_direct_mean_ms": b.direct_mean_s * 1000,
-        "sum_by_crt_mean_ms": b.crt_mean_s * 1000,
-        "predict_mean_ms": b.predict_mean_s * 1000,
-    }
-
-
-def _cmd_bench(args) -> int:
-    n = _check_cap("n", args.n, minimum=1)
-    k = _check_cap("k", args.k)
-    if args.reps < 1:
-        raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    report = bench(n, k, args.reps, alpha=args.alpha)
-    if args.format == "json":
-        _emit_json(_bench_dict(report))
-    elif args.format == "csv":
-        d = _bench_dict(report)
-        _emit_csv(list(d.keys()), [list(d.values())])
-    else:
-        print(f"bench: n={n} k={k} alpha={report.alpha} reps={report.repetitions}")
-        print(f"sum_direct : {report.direct_mean_s * 1e6:10.2f} us/call")
-        print(f"sum_by_crt : {report.crt_mean_s * 1e6:10.2f} us/call")
-        print(f"criterion  : {report.predict_mean_s * 1e6:10.2f} us/call")
-    return EXIT_OK
-
-
 _HANDLERS = {
     "eval": _cmd_eval,
     "roots": _cmd_roots,
     "check": _cmd_check,
     "scan": _cmd_scan,
     "hunt": _cmd_hunt,
-    "bench": _cmd_bench,
 }
 
 

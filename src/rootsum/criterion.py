@@ -10,9 +10,10 @@ is divisible by n if and only if at least one of three clauses holds:
 
 predict_vanishing evaluates the clauses from the arithmetic of k+1, n and
 alpha alone, in time independent of n's size.  The ground truth is
-evaluation of the sum itself, derivsum.sum_direct (direct summation, or
-binary doubling for long sums): the two must agree on every n-th root of
-unity mod n, and the scan harness checks exactly that by direct summation.
+evaluation of the sum itself, by the route derivsum.sum_direct takes
+(direct summation, or binary doubling for long sums): the two must agree on
+every n-th root of unity mod n, and the scan harness checks exactly that by
+direct summation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .derivsum import SumQuery, sum_direct
+from .derivsum import _sum_single
 from .numtheory import factorize, is_prime, mod_pow
 
 __all__ = [
@@ -165,7 +166,7 @@ def roots_of_unity(n: int) -> tuple[int, ...]:
 def explain(n: int, k: int, alpha: int) -> Explanation:
     """Bundle prediction, oracle residue, hypothesis status and agreement."""
     verdict = predict_vanishing(n, k, alpha)
-    residue = sum_direct(SumQuery(n=n, k=k, alpha=alpha, modulus=n)).value
+    residue = _sum_single(n, k, alpha, n)
     hypothesis_ok = pow(alpha % n, n, n) == 1 % n
     return Explanation(
         n=n,

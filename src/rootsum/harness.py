@@ -4,8 +4,7 @@ scan() walks every (n, root of unity alpha, k) triple in a range and
 compares the clause criterion against the direct-summation oracle; a clean
 report is an exhaustive confirmation of the criterion on that range.
 hunt_weakened() does the same with one clause hypothesis deliberately
-dropped, to surface the cases proving the hypothesis necessary.  bench()
-times the fast criterion against full summation.
+dropped, to surface the cases proving the hypothesis necessary.
 
 Both scan() and hunt_weakened() run one per-n unit, _scan_unit(): it
 enumerates the roots of unity mod n once and checks every k against each
@@ -24,12 +23,9 @@ from typing import Collection, Optional
 from .criterion import predict_vanishing, roots_of_unity
 from .derivsum import (
     CongruenceReport,
-    SumQuery,
     _sum_mod,
     closed_form_congruence,
     leibnitz_identity_check,
-    sum_by_crt,
-    sum_direct,
 )
 from .falling import falling_mod, falling_sum, valuation_bounds
 from .numtheory import _valuation_of_int, factorize
@@ -41,10 +37,8 @@ __all__ = [
     "ScanConfig",
     "MismatchRecord",
     "ScanReport",
-    "BenchReport",
     "scan",
     "hunt_weakened",
-    "bench",
 ]
 
 DROP_CLAUSE_C_ALPHA = "clause-c-alpha"
@@ -93,19 +87,6 @@ class ScanReport:
     @property
     def clean(self) -> bool:
         return not self.mismatches and not self.lemma_failures
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Per-call mean wall time of the three evaluation routes."""
-
-    n: int
-    k: int
-    alpha: int
-    repetitions: int
-    direct_mean_s: float
-    crt_mean_s: float
-    predict_mean_s: float
 
 
 def _lemma_checks(n: int, max_k: int) -> list[str]:
@@ -281,37 +262,3 @@ def hunt_weakened(max_n: int, max_k: int, drop: Optional[str]) -> list[MismatchR
     for n in range(1, max_n + 1):
         records.extend(_scan_unit(n, max_k, drop, False)[1])
     return records
-
-
-def bench(n: int, k: int, repetitions: int, alpha: Optional[int] = None) -> BenchReport:
-    """Mean per-call wall time of sum_direct, sum_by_crt and the criterion.
-
-    alpha defaults to n-1; the cost of every route is independent of which
-    alpha is chosen.  One warm-up call per route runs first so cached
-    falling-factorial rows do not skew the comparison.
-    """
-    if n < 1 or k < 0 or repetitions < 1:
-        raise ValueError("bench requires n >= 1, k >= 0, repetitions >= 1")
-    if alpha is None:
-        alpha = n - 1 if n > 1 else 0
-    query = SumQuery(n=n, k=k, alpha=alpha, modulus=n)
-
-    def mean(fn) -> float:
-        fn()
-        t0 = time.perf_counter()
-        for _ in range(repetitions):
-            fn()
-        return (time.perf_counter() - t0) / repetitions
-
-    direct = mean(lambda: sum_direct(query))
-    crt = mean(lambda: sum_by_crt(n, k, alpha))
-    predict = mean(lambda: predict_vanishing(n, k, alpha))
-    return BenchReport(
-        n=n,
-        k=k,
-        alpha=alpha,
-        repetitions=repetitions,
-        direct_mean_s=direct,
-        crt_mean_s=crt,
-        predict_mean_s=predict,
-    )

@@ -176,17 +176,6 @@ class TestHuntCommand:
         assert err.value.code == 2
 
 
-class TestBenchCommand:
-    def test_runs_and_reports(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--n", "40", "--k", "3", "--reps", "3", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert set(payload) == {
-            "n", "k", "alpha", "repetitions",
-            "sum_direct_mean_ms", "sum_by_crt_mean_ms", "predict_mean_ms",
-        }
-
-
 class TestUsageErrors:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as err:
@@ -238,6 +227,12 @@ class TestUsageErrors:
     def test_bad_format_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as err:
             main(["roots", "--n", "6", "--format", "xml"])
+        assert err.value.code == 2
+
+    def test_removed_bench_subcommand_rejected_by_argparse(self):
+        # bench is a removed subcommand, rejected like an unknown drop label
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--n", "40", "--k", "3"])
         assert err.value.code == 2
 
 

@@ -204,3 +204,9 @@ class TestExplain:
                     e = explain(n, k, alpha)
                     assert e.hypothesis_ok
                     assert e.agree, (n, k, alpha)
+
+    def test_rejects_bad_n_and_k_before_summing(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            explain(0, 1, 1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            explain(5, -1, 1)

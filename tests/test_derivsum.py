@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,28 @@ class TestDoublingRoute:
                     assert _sum_doubling(n, k, alpha, n) == _sum_mod(n, k, alpha, n), (n, k, alpha)
                     triples += 1
         assert triples == 42_835
+
+    def test_documented_timing_commands_run(self):
+        # the route table in sum_direct rests on these commands; each setup
+        # and statement must still run, e.g. after a private name is renamed
+        commands = re.findall(r'python -m timeit -s "([^"]*)" "([^"]*)"', sum_direct.__doc__)
+        assert len(commands) == 4
+        for setup, stmt in commands:
+            timeit.timeit(stmt, setup, number=1)
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            pytest.param("_sum_doubling(1000, 12, 3, 1000003)", id="doubling"),
+            pytest.param("_falling_row.cache_clear(); _sum_mod(1000, 12, 3, 1000003)", id="direct-cold"),
+            pytest.param("_sum_mod(1000, 12, 3, 1000003)", id="direct-warm"),
+            pytest.param("predict_vanishing(300, 12, 299)", id="criterion"),
+        ],
+    )
+    def test_documented_timing_command_times_its_column(self, statement):
+        # one command per column of the table, each timing the call it names
+        statements = re.findall(r'python -m timeit -s "[^"]*" "([^"]*)"', sum_direct.__doc__)
+        assert statements.count(statement) == 1
 
 
 LEIBNITZ_MODULI = [7, 8, 9, 13, 25]

@@ -1,4 +1,4 @@
-"""Tests for the scan / hunt / bench harness."""
+"""Tests for the scan / hunt harness."""
 
 import dataclasses
 from collections import Counter
@@ -10,7 +10,6 @@ from rootsum import (
     DROP_CLAUSE_C_ALPHA,
     DROP_NONE,
     ScanConfig,
-    bench,
     hunt_weakened,
     roots_of_unity,
     scan,
@@ -178,31 +177,11 @@ class TestHuntWeakened:
                 assert 0 <= r.oracle_residue < r.n
 
 
-class TestBench:
-    def test_minimal_inputs_complete(self):
-        report = bench(1, 0, 1)
-        assert report.direct_mean_s >= 0
-        assert report.crt_mean_s >= 0
-        assert report.predict_mean_s >= 0
+def test_bench_is_not_exported():
+    # bench and BenchReport were removed; the route table's timings are the
+    # timeit commands in the sum_direct docstring
+    import rootsum
 
-    def test_criterion_beats_summation(self):
-        report = bench(300, 12, 100)
-        assert report.predict_mean_s < report.direct_mean_s
-
-    def test_large_n_completes_quickly(self):
-        import time
-
-        t0 = time.perf_counter()
-        report = bench(10_000, 8, 10)
-        assert time.perf_counter() - t0 < 30.0
-        assert report.direct_mean_s > 0 and report.crt_mean_s > 0
-
-    def test_alpha_defaults_to_n_minus_one(self):
-        assert bench(50, 2, 1).alpha == 49
-        assert bench(1, 0, 1).alpha == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bench(0, 1, 1)
-        with pytest.raises(ValueError):
-            bench(5, 1, 0)
+    for name in ("bench", "BenchReport"):
+        assert name not in rootsum.__all__ and name not in harness.__all__
+        assert not hasattr(rootsum, name) and not hasattr(harness, name)
