@@ -71,11 +71,18 @@ class SumQuery:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
 
 
+_ROW_CHAIN_K = 32  # a cold chain recurses at most this deep and caches at most 33 of the 256 rows
+
+
 @lru_cache(maxsize=256)
 def _falling_row(n: int, k: int, m: int) -> tuple[int, ...]:
-    # i-falling-k mod m for k <= i < n; each entry is its own k-term
-    # product (no incremental update: the step ratio is not a unit mod m)
-    return tuple(_falling_int(i, k, m) for i in range(k, n))
+    # i-falling-k mod m for k <= i < n, from row k - 1 by
+    # i-falling-k = i * (i-1)-falling-(k-1)
+    if k == 0:
+        return (1 % m,) * n
+    if k > _ROW_CHAIN_K:
+        return tuple(_falling_int(i, k, m) for i in range(k, n))
+    return tuple(i * r % m for i, r in zip(range(k, n), _falling_row(n, k - 1, m)))
 
 
 def _sum_mod(n: int, k: int, alpha: int, m: int) -> int:
@@ -143,9 +150,11 @@ def sum_direct(q: SumQuery) -> Residue:
 
     Two routes give the same residue:
 
-    * direct summation over i from n-1 down to k in Horner form: one
-      k-term falling product per term, memoized per (n, k, modulus), then
-      one multiply-add per term, so O((n-k) * k) cold and O(n-k) warm;
+    * direct summation over i from n-1 down to k in Horner form, over a
+      row of falling factorials memoized per (n, k, modulus): row k is one
+      multiply per term from row k - 1 (each term its own k-term product
+      above k = 32), then one multiply-add per term, so O(n * k) cold and
+      O(n-k) once row k or k - 1 is warm;
     * binary doubling over binomial sums (Vandermonde's identity), with
       no row and no division, in O(k^2 log n).
 
@@ -157,20 +166,21 @@ def sum_direct(q: SumQuery) -> Residue:
     doubling only when nearly every call repeats a key (at n = 1000,
     k = 12, above 90% of calls), and on short sums the two differ by a few
     microseconds.  Measured at modulus 1000003 and alpha 3, best of five
-    calls on a 2-vCPU VM:
+    calls on a 2-vCPU VM (direct cold: the median of three such runs, each
+    building the whole chain of rows 0..k):
 
         n        k     doubling   direct cold   direct warm   route
-        20       2     0.02 ms    0.01 ms       0.002 ms      doubling
-        50       12    0.08 ms    0.04 ms       0.003 ms      direct
-        100      12    0.08 ms    0.08 ms       0.007 ms      doubling
-        300      12    0.11 ms    0.28 ms       0.03 ms       doubling
-        1000     12    0.15 ms    1.2 ms        0.07 ms       doubling
-        3000     12    0.19 ms    4.1 ms        0.29 ms       doubling
-        1e5      12    0.39 ms    161 ms        7.2 ms        doubling
+        20       2     0.02 ms    0.008 ms      0.002 ms      doubling
+        50       12    0.08 ms    0.07 ms       0.003 ms      direct
+        100      12    0.08 ms    0.13 ms       0.007 ms      doubling
+        300      12    0.11 ms    0.39 ms       0.03 ms       doubling
+        1000     12    0.15 ms    1.4 ms        0.07 ms       doubling
+        3000     12    0.19 ms    5.0 ms        0.29 ms       doubling
+        1e5      12    0.39 ms    174 ms        7.2 ms        doubling
         2**31    12    0.55 ms    -             -             doubling
-        1000     2     0.06 ms    0.61 ms       0.09 ms       doubling
+        1000     2     0.06 ms    0.32 ms       0.09 ms       doubling
         5000     100   4.8 ms     41 ms         0.36 ms       doubling
-        3000     1000  208 ms     195 ms        0.20 ms       direct
+        3000     1000  208 ms     184 ms        0.20 ms       direct
 
     Each column is one timeit command, run from the repository root (shown
     at n = 1000, k = 12; the criterion, which evaluates no sum, for scale):

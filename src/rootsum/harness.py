@@ -15,7 +15,6 @@ processes and the merged report is identical regardless of worker count.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Collection, Optional
@@ -207,6 +206,8 @@ def scan(cfg: ScanConfig) -> ScanReport:
     if cfg.parallelism == 1:
         units = [_scan_unit(*a) for a in args]
     else:
+        import multiprocessing  # 10 ms of import, paid only by a parallel scan
+
         chunk = max(1, len(args) // (cfg.parallelism * 8))
         with multiprocessing.Pool(cfg.parallelism) as pool:
             units = pool.starmap(_scan_unit, args, chunksize=chunk)

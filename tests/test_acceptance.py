@@ -61,7 +61,7 @@ def falling_row_mod(n: int, k: int, m: int) -> list[int]:
     """i-falling-k mod m for k <= i < n, built from exact integers.
 
     Incremental exact recurrence i-falling-k = (i-1)-falling-k * i // (i-k),
-    a different algorithm from the library's per-entry modular products.
+    a different algorithm from the library's k-recurrence.
     """
     row = []
     value = math.factorial(k)

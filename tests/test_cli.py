@@ -203,7 +203,7 @@ class TestUsageErrors:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was created")
 
-        monkeypatch.setattr("rootsum.harness.multiprocessing.Pool", no_pool)
+        monkeypatch.setattr("multiprocessing.Pool", no_pool)
         jobs = str(cli.MAX_JOBS + 1)
         code, _, err = run_cli(capsys, "scan", "--max-n", "5", "--max-k", "2", "--jobs", jobs)
         assert code == 2

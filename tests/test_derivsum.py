@@ -24,7 +24,9 @@ from rootsum import (
     sum_direct,
 )
 from rootsum import derivsum
-from rootsum.derivsum import _sum_doubling, _sum_mod
+from rootsum.derivsum import _ROW_CHAIN_K, _falling_row, _sum_doubling, _sum_mod
+from rootsum.falling import _falling_int
+from rootsum.harness import DROP_NONE, _scan_unit
 from oracles import brute_sum, brute_valuation, exact_falling
 
 
@@ -102,6 +104,63 @@ class TestSumDirect:
             base = direct(n, k, alpha, m)
             assert direct(n, k, alpha + m, m) == base
             assert direct(n, k, alpha - m, m) == base
+
+
+ROW_MODULI = (1, 2, 8, 9, 360, 2**31 - 1)
+ROW_LENGTHS = (0, 1, 2, 7, 33, 40)
+ROW_DEPTHS = range(41)
+
+
+class TestFallingRow:
+    def _assert_rows(self, keys):
+        assert _ROW_CHAIN_K < max(ROW_DEPTHS)
+        _falling_row.cache_clear()
+        for n, k, m in keys:
+            assert list(_falling_row(n, k, m)) == [_falling_int(i, k, m) for i in range(k, n)], (n, k, m)
+
+    def test_ascending_k(self):
+        self._assert_rows((n, k, m) for m in ROW_MODULI for n in ROW_LENGTHS for k in ROW_DEPTHS)
+
+    def test_descending_k(self):
+        self._assert_rows(
+            (n, k, m) for m in ROW_MODULI for n in ROW_LENGTHS for k in reversed(ROW_DEPTHS)
+        )
+
+    def test_moduli_interleaved(self):
+        self._assert_rows((n, k, m) for n in ROW_LENGTHS for k in ROW_DEPTHS for m in ROW_MODULI)
+
+    def test_large_k_against_exact_oracle(self):
+        # the direct route at n = 3000, k = 1000, from a cold cache
+        _falling_row.cache_clear()
+        assert direct(3000, 1000, 3, 1000003) == brute_sum(3000, 1000, 3, 1000003)
+
+    def test_larger_k_than_the_recursion_limit(self):
+        # brute_sum(6000, 5000, 3, 1000003) == 848734 takes ~20 s; a chain
+        # as deep as k would raise RecursionError here
+        _falling_row.cache_clear()
+        assert direct(6000, 5000, 3, 1000003) == 848734
+
+    def test_scan_unit_builds_no_entry_as_its_own_product(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _falling_int(*args)
+
+        monkeypatch.setattr(derivsum, "_falling_int", counting)
+        _falling_row.cache_clear()
+        _scan_unit(300, 12, DROP_NONE, False)
+        assert calls == []
+
+    def test_large_k_caches_one_row(self):
+        _falling_row.cache_clear()
+        _sum_mod(3000, 1000, 3, 1000003)
+        assert _falling_row.cache_info().currsize == 1
+
+    def test_cold_chain_caches_the_rows_below(self):
+        _falling_row.cache_clear()
+        _sum_mod(50, 12, 3, 1000003)
+        assert _falling_row.cache_info().currsize <= 13
 
 
 class TestSumByCrt:
