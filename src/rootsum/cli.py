@@ -327,9 +327,15 @@ _HANDLERS = {
 }
 
 
+# built on the first call to main and reused: parse_args leaves it unchanged
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except UsageError as exc:

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .falling import _falling_int, falling_valuation
+from .falling import _falling_int
 from .numtheory import (
-    INFINITY,
     Residue,
-    Valuation,
-    _legendre,
     _require_prime,
     _valuation_of_int,
     crt_combine,
@@ -39,13 +36,10 @@ from .numtheory import (
 __all__ = [
     "SumQuery",
     "CongruenceReport",
-    "ExpansionTerm",
     "sum_direct",
     "sum_by_crt",
     "leibnitz_identity_check",
-    "leibnitz_vanishing",
     "closed_form_congruence",
-    "expansion_term_valuations",
 ]
 
 
@@ -255,29 +249,6 @@ def leibnitz_identity_check(n: int, k: int, t: int, m: int) -> bool:
     return _sum_mod(n, k, t, m) == _leibnitz_rhs(n, k, t, m)
 
 
-def leibnitz_vanishing(n: int, k: int, alpha: int, p: int, ell: int) -> Residue:
-    """S(n, k, alpha) mod p**ell via the closed form, when alpha != 1 (mod p).
-
-    Preconditions (violations raise ValueError): p**ell divides n,
-    alpha**n == 1 (mod p**ell), and alpha != 1 (mod p).  Under them the
-    geometric factor alpha^n - 1 kills the first closed-form term and the
-    factor n-falling-(k-i), a multiple of n, kills every other, so the
-    returned residue is 0.  Exposed separately from sum_direct so the two
-    routes can be compared rather than trusted.
-    """
-    if n < 1 or k < 0 or ell < 0:
-        raise ValueError("leibnitz_vanishing requires n >= 1, k >= 0, ell >= 0")
-    _require_prime(p)
-    m = p**ell
-    if n % m != 0:
-        raise ValueError(f"p**ell = {m} must divide n = {n}")
-    if pow(alpha % m, n, m) != 1 % m:
-        raise ValueError(f"alpha = {alpha} is not an n-th root of unity mod {m}")
-    if alpha % p == 1:
-        raise ValueError(f"alpha = {alpha} is 1 mod {p}; the unit route needs alpha != 1 (mod p)")
-    return Residue(_leibnitz_rhs(n, k, alpha, m), m)
-
-
 @dataclass(frozen=True)
 class CongruenceReport:
     """Outcome of one near-unity congruence check.
@@ -320,54 +291,3 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
         rhs_times_kp1=Residue(rhs, m),
         congruent=lhs == rhs,
     )
-
-
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """Per-term p-adic data for the expansion of S(n, k, 1+y) in powers of y.
-
-    weight_valuation is nu_p(y^j / j!) and fraction_valuation is
-    nu_p((n-1)-falling-(k+j) / (k+j+1)).
-    """
-
-    j: int
-    weight_valuation: Valuation
-    fraction_valuation: Valuation
-
-
-def expansion_term_valuations(
-    n: int, k: int, alpha: int, p: int, j_max: int
-) -> list[ExpansionTerm]:
-    """Valuations of the expansion terms of S around alpha = 1 + y.
-
-    Expanding alpha^(i-k) = (1+y)^(i-k) binomially and collapsing the inner
-    sums turns S into a sum over j of (y^j / j!) times a falling fraction
-    times n.  For every j >= 1 the weight has valuation at least 1 (since
-    p | y and nu_p(j!) < j) and the fraction has valuation at least -1, so
-    each such term is divisible by p^nu_p(n).  Both bounds are re-checked
-    numerically here; a violation raises ArithmeticError because it would
-    disprove the congruence machinery.
-    """
-    if n < 1 or k < 0:
-        raise ValueError("expansion_term_valuations requires n >= 1 and k >= 0")
-    _require_prime(p)
-    if alpha % p != 1:
-        raise ValueError(f"alpha = {alpha} must be 1 mod {p}")
-    if j_max < 0 or j_max > n - 1 - k:
-        raise ValueError(f"j_max must lie in [0, n-1-k] = [0, {n - 1 - k}]")
-    y = alpha - 1
-    y_val: Valuation = INFINITY if y == 0 else _valuation_of_int(y, p)
-    terms = []
-    for j in range(1, j_max + 1):
-        weight = INFINITY if y == 0 else j * y_val - _legendre(j, p)
-        fraction = falling_valuation(n - 1, k + j, p) - _valuation_of_int(k + j + 1, p)
-        if weight < 1:
-            raise ArithmeticError(
-                f"weight valuation bound violated at j={j}: {weight} < 1"
-            )
-        if fraction < -1:
-            raise ArithmeticError(
-                f"fraction valuation bound violated at j={j}: {fraction} < -1"
-            )
-        terms.append(ExpansionTerm(j=j, weight_valuation=weight, fraction_valuation=fraction))
-    return terms

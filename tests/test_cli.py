@@ -236,6 +236,27 @@ class TestUsageErrors:
         assert err.value.code == 2
 
 
+def test_parser_is_built_once_and_carries_nothing_between_calls(capsys, monkeypatch):
+    run_cli(capsys, "roots", "--n", "6")
+
+    def no_second_build():
+        raise AssertionError("main built its parser again")
+
+    monkeypatch.setattr(cli, "build_parser", no_second_build)
+    eval_argv = ("eval", "--n", "6", "--k", "2", "--alpha", "5", "--modulus", "1000000")
+    code, out, _ = run_cli(capsys, *eval_argv, "--format", "csv")
+    assert code == 0 and out == "n,k,alpha,modulus,residue\n6,2,5,1000000,2832\n"
+    code, out, _ = run_cli(capsys, *eval_argv)
+    assert code == 0 and out == "S(6, 2, 5) mod 1000000 = 2832\n"
+    code, out, _ = run_cli(capsys, "roots", "--n", "6", "--format", "json")
+    assert code == 0 and json.loads(out)["roots"] == [1, 5]
+    scan_argv = ("scan", "--max-n", "5", "--max-k", "1", "--format", "json")
+    code, out, _ = run_cli(capsys, *scan_argv, "--timing")
+    assert code == 0 and "elapsed_ms" in json.loads(out)
+    code, out, _ = run_cli(capsys, *scan_argv)
+    assert code == 0 and "elapsed_ms" not in json.loads(out)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "rootsum", "roots", "--n", "6", "--format", "json"],

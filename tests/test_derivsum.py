@@ -10,21 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsum import (
-    INFINITY,
     NotAUnitError,
     SumQuery,
     closed_form_congruence,
-    expansion_term_valuations,
     factorize,
+    falling_valuation,
     legendre,
     leibnitz_identity_check,
-    leibnitz_vanishing,
+    nu_p,
     roots_of_unity,
     sum_by_crt,
     sum_direct,
 )
 from rootsum import derivsum
-from rootsum.derivsum import _ROW_CHAIN_K, _falling_row, _sum_doubling, _sum_mod
+from rootsum.derivsum import _ROW_CHAIN_K, _falling_row, _leibnitz_rhs, _sum_doubling, _sum_mod
 from rootsum.falling import _falling_int
 from rootsum.harness import DROP_NONE, _scan_unit
 from oracles import brute_sum, brute_valuation, exact_falling
@@ -310,28 +309,16 @@ class TestLeibnitzIdentity:
 
 
 class TestLeibnitzVanishing:
+    # for p**l dividing n, alpha**n == 1 and alpha != 1 (mod p), the factor
+    # alpha**n - 1 kills the first closed-form term and n-falling-(k-i), a
+    # multiple of n, kills every other, so S vanishes mod p**l
     def test_flagship_case(self):
-        r = leibnitz_vanishing(6, 2, 5, 3, 1)
-        assert (r.value, r.modulus) == (0, 3)
+        assert _leibnitz_rhs(6, 2, 5, 3) == 0
         assert direct(6, 2, 5, 3) == 0
 
     def test_zeroth_derivative(self):
         assert brute_sum(6, 0, 5, 3) == 0
-        r = leibnitz_vanishing(6, 0, 5, 3, 1)
-        assert (r.value, r.modulus) == (0, 3)
-
-    def test_rejects_non_root(self):
-        # 2^5 = 32 is 2 mod 5, not 1
-        with pytest.raises(ValueError):
-            leibnitz_vanishing(5, 1, 2, 5, 1)
-
-    def test_rejects_alpha_congruent_one(self):
-        with pytest.raises(ValueError):
-            leibnitz_vanishing(6, 2, 4, 3, 1)  # 4 is 1 mod 3
-
-    def test_rejects_modulus_not_dividing_n(self):
-        with pytest.raises(ValueError):
-            leibnitz_vanishing(6, 2, 5, 3, 2)  # 9 does not divide 6
+        assert _leibnitz_rhs(6, 0, 5, 3) == 0
 
     def test_vanishes_and_matches_direct_on_range(self):
         checked = 0
@@ -342,8 +329,7 @@ class TestLeibnitzVanishing:
                     if alpha % p == 1 or pow(alpha, n, q) != 1 % q:
                         continue
                     for k in range(0, 7):
-                        r = leibnitz_vanishing(n, k, alpha, p, ell)
-                        assert r.value == 0
+                        assert _leibnitz_rhs(n, k, alpha, q) == 0
                         assert direct(n, k, alpha, q) == 0
                         checked += 1
         assert checked > 100  # the route is genuinely exercised
@@ -411,49 +397,48 @@ class TestClosedFormCongruence:
         assert shifted.congruent == base.congruent
 
 
+def expansion_valuations(n, k, alpha, p, j):
+    # term j of S(n, k, 1 + y) expanded in powers of y is (y^j / j!) times
+    # (n-1)-falling-(k+j) / (k+j+1) times n; returns nu_p of the weight and
+    # of the fraction
+    weight = j * nu_p(alpha - 1, p) - legendre(j, p)
+    fraction = falling_valuation(n - 1, k + j, p) - nu_p(k + j + 1, p)
+    return weight, fraction
+
+
 class TestExpansionTermValuations:
+    # for alpha == 1 (mod p) and j >= 1 the weight has valuation at least 1
+    # (p | y and nu_p(j!) < j) and the fraction at least -1, so every such
+    # term is divisible by p**nu_p(n)
     def test_single_step_weight(self):
-        terms = expansion_term_valuations(6, 2, 4, 3, 3)
-        assert [t.j for t in terms] == [1, 2, 3]
-        assert terms[0].weight_valuation == 1
-        assert terms[0].fraction_valuation == 1
-
-    def test_weights_follow_legendre(self):
-        # y = 9 has valuation 2, so the weight at j is 2j - nu_3(j!)
-        terms = expansion_term_valuations(10, 0, 10, 3, 5)
-        for t in terms:
-            assert t.weight_valuation == 2 * t.j - legendre(t.j, 3)
-            assert t.weight_valuation >= 1
-
-    def test_alpha_one_gives_infinite_weights(self):
-        terms = expansion_term_valuations(8, 1, 1, 7, 4)
-        assert all(t.weight_valuation == INFINITY for t in terms)
+        assert expansion_valuations(6, 2, 4, 3, 1) == (1, 1)
 
     def test_bounds_hold_on_grid(self):
         for n in range(2, 40):
             for p in (2, 3, 5):
                 for alpha in (1, 1 + p, 1 + 3 * p, 1 - p):
                     for k in range(0, 4):
-                        j_max = n - 1 - k
-                        if j_max < 0:
-                            continue
-                        for t in expansion_term_valuations(n, k, alpha, p, j_max):
-                            assert t.weight_valuation >= 1
-                            assert t.fraction_valuation >= -1
+                        for j in range(1, n - k):
+                            weight, fraction = expansion_valuations(n, k, alpha, p, j)
+                            if alpha != 1:
+                                assert weight >= 1
+                            assert fraction >= -1
 
     def test_fraction_valuation_against_exact_values(self):
-        n, k, p = 12, 1, 2
-        for t in expansion_term_valuations(n, k, 3, p, n - 1 - k):
-            exact = exact_falling(n - 1, k + t.j)
-            if exact == 0:
-                assert t.fraction_valuation == INFINITY
-            else:
-                assert t.fraction_valuation == brute_valuation(exact, p) - brute_valuation(
-                    k + t.j + 1, p
-                )
+        n, k, alpha, p = 12, 1, 3, 2
+        for j in range(1, n - k):
+            weight, fraction = expansion_valuations(n, k, alpha, p, j)
+            assert weight == j * brute_valuation(alpha - 1, p) - brute_valuation(math.factorial(j), p)
+            assert fraction == brute_valuation(exact_falling(n - 1, k + j), p) - brute_valuation(
+                k + j + 1, p
+            )
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            expansion_term_valuations(6, 2, 5, 3, 1)  # 5 is not 1 mod 3
-        with pytest.raises(ValueError):
-            expansion_term_valuations(6, 2, 4, 3, 4)  # j_max above n-1-k
+
+def test_retired_lemma_entry_points_are_not_exported():
+    # leibnitz_vanishing, ExpansionTerm and expansion_term_valuations were
+    # removed; the statements they checked are the two test classes above
+    import rootsum
+
+    for name in ("leibnitz_vanishing", "ExpansionTerm", "expansion_term_valuations"):
+        assert name not in rootsum.__all__ and name not in derivsum.__all__
+        assert not hasattr(rootsum, name) and not hasattr(derivsum, name)

@@ -12,7 +12,6 @@ from rootsum import (
     NotAUnitError,
     Residue,
     crt_combine,
-    expansion_term_valuations,
     factorize,
     falling_valuation,
     is_prime,
@@ -180,9 +179,8 @@ class TestPrimeCheckedOncePerCall:
         [
             (falling_valuation, (12, 5, 3), 1),
             (valuation_bounds, (12, 5, 3), 2),
-            (expansion_term_valuations, (12, 2, 5, 2, 6), 7),
         ],
-        ids=["falling_valuation", "valuation_bounds", "expansion_term_valuations"],
+        ids=["falling_valuation", "valuation_bounds"],
     )
     def test_is_prime_calls(self, monkeypatch, fn, args, checks):
         real = numtheory.is_prime
