@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsum import (
+    INFINITY,
     NotAUnitError,
     SumQuery,
     closed_form_congruence,
@@ -320,6 +321,22 @@ class TestLeibnitzVanishing:
         assert brute_sum(6, 0, 5, 3) == 0
         assert _leibnitz_rhs(6, 0, 5, 3) == 0
 
+    # each hypothesis is needed: drop one and S no longer vanishes
+    def test_rejects_non_root(self):
+        # 2^5 = 32 is 2 mod 5, not 1, so alpha**n - 1 leaves the first term
+        assert _leibnitz_rhs(5, 1, 2, 5) == direct(5, 1, 2, 5) == 4
+
+    def test_rejects_alpha_congruent_one(self):
+        # 4 is 1 mod 3, so 1 - alpha has no inverse and the closed form is void
+        with pytest.raises(NotAUnitError):
+            _leibnitz_rhs(6, 2, 4, 3)
+        assert direct(6, 2, 4, 3) == 1
+
+    def test_rejects_modulus_not_dividing_n(self):
+        # 5^6 is 1 mod 9 but 9 does not divide 6
+        assert pow(5, 6, 9) == 1
+        assert _leibnitz_rhs(6, 2, 5, 9) == direct(6, 2, 5, 9) == 6
+
     def test_vanishes_and_matches_direct_on_range(self):
         checked = 0
         for n in range(2, 61):
@@ -412,6 +429,20 @@ class TestExpansionTermValuations:
     # term is divisible by p**nu_p(n)
     def test_single_step_weight(self):
         assert expansion_valuations(6, 2, 4, 3, 1) == (1, 1)
+
+    def test_weights_follow_legendre(self):
+        # y = 9 has valuation 2, so the weight at j is 2j - nu_3(j!)
+        for j in range(1, 10):
+            weight, _ = expansion_valuations(10, 0, 10, 3, j)
+            assert weight == 2 * j - brute_valuation(math.factorial(j), 3)
+            assert weight >= 1
+
+    def test_alpha_one_gives_infinite_weights(self):
+        # y = 0 kills every term with j >= 1, leaving S(8, 1, 1) = 7 * 8 / 2
+        for j in range(1, 7):
+            weight, _ = expansion_valuations(8, 1, 1, 7, j)
+            assert weight == INFINITY
+        assert direct(8, 1, 1, 10**6) == 28
 
     def test_bounds_hold_on_grid(self):
         for n in range(2, 40):
