@@ -19,6 +19,7 @@ identities that explain when S vanishes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -79,13 +80,34 @@ def _falling_row(n: int, k: int, m: int) -> tuple[int, ...]:
     return tuple(i * r % m for i, r in zip(range(k, n), _falling_row(n, k - 1, m)))
 
 
-def _sum_mod(n: int, k: int, alpha: int, m: int) -> int:
-    # Horner form: ff_k + a*(ff_(k+1) + a*(... + a*ff_(n-1)))
-    a = alpha % m
+@lru_cache(maxsize=256)
+def _period_row(n: int, k: int, m: int, period: int) -> tuple[int, ...]:
+    # c_r with S(n, k, alpha) == sum of c_r * alpha^r (mod m) whenever
+    # alpha^period == 1 (mod m).  i-falling-k mod m has period m in i and
+    # is 0 for i < k, so the terms repeat every L = lcm(m, period) indices
+    # and each full block of L adds the first one again.  At most len(row)
+    # long: when period exceeds the row, c_r is the row itself.
+    block = math.lcm(m, period)
+    row = _falling_row(min(n, block), k, m)
+    full, tail = divmod(n, block)
+    stop = max(tail - k, 0)
+    return tuple(
+        (full * sum(row[r::period]) + sum(row[r:stop:period])) % m
+        for r in range(min(period, len(row)))
+    )
+
+
+def _horner(coeffs: tuple[int, ...], a: int, m: int) -> int:
+    # sum of coeffs[r] * a^r mod m: c_0 + a*(c_1 + a*(... + a*c_last))
     total = 0
-    for ff in reversed(_falling_row(n, k, m)):
-        total = (total * a + ff) % m
+    for c in reversed(coeffs):
+        total = (total * a + c) % m
     return total
+
+
+def _sum_mod(n: int, k: int, alpha: int, m: int) -> int:
+    # the row of i-falling-k for k <= i < n is the coefficient list in alpha
+    return _horner(_falling_row(n, k, m), alpha % m, m)
 
 
 def _binomials(a: int, k: int, m: int) -> list[int]:
@@ -273,6 +295,11 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
     congruence lives mod p^e alone).  Dividing by k+1 recovers the rational
     statement mod p^l, since multiplying by k+1 shifts every p-valuation by
     exactly e.
+
+    S is evaluated mod m = p^(l+e) as a polynomial in alpha of degree below
+    m/p: every alpha == 1 (mod p) has alpha^(m/p) == 1 (mod m), so the n - k
+    terms fold into at most m/p period sums, memoized per (n, k, m), and
+    each call is one Horner pass over those.
     """
     if n < 1 or k < 0:
         raise ValueError("closed_form_congruence requires n >= 1 and k >= 0")
@@ -282,7 +309,7 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
     ell = _valuation_of_int(n, p)
     e = _valuation_of_int(k + 1, p)
     m = p ** (ell + e)
-    lhs = (k + 1) * _sum_mod(n, k, alpha, m) % m
+    lhs = (k + 1) * _horner(_period_row(n, k, m, m // p or 1), alpha % m, m) % m
     rhs = _falling_int(n - 1, k, m) * (n % m) % m
     return CongruenceReport(
         p=p,

@@ -22,11 +22,12 @@ from typing import Collection, Optional
 from .criterion import predict_vanishing, roots_of_unity
 from .derivsum import (
     CongruenceReport,
+    _falling_row,
     _sum_mod,
     closed_form_congruence,
     leibnitz_identity_check,
 )
-from .falling import falling_mod, falling_sum, valuation_bounds
+from .falling import falling_mod, valuation_bounds
 from .numtheory import _valuation_of_int, factorize
 
 __all__ = [
@@ -96,11 +97,17 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
     for every prime p | n, and a few Leibnitz closed-form probes.  Returns
     human-readable failure strings; an empty list means all checks passed.
 
+    The telescoping identity sums the oracle's own memoized row of
+    i-falling-k mod n, the one the scan's direct sums read, so it checks
+    those entries rather than a second computation of them.
+
     The near-unity report depends on alpha only through alpha mod p^(l+e),
     with l = nu_p(n) and e = nu_p(k+1), since the sum is evaluated mod that
     power.  It is therefore computed once per residue class for each (p, k)
     and reused for every other alpha in the class; failures are still
-    reported once per alpha, in ascending alpha order.
+    reported once per alpha, in ascending alpha order.  Each class costs
+    one Horner pass over the period sums closed_form_congruence folds the
+    row into, not over n terms.
     """
     failures: list[str] = []
 
@@ -130,7 +137,7 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
                 )
 
     for k in range(max_k + 1):
-        lhs = (k + 1) * falling_sum(0, n, k, n).value % n
+        lhs = (k + 1) * sum(_falling_row(n, k, n)) % n
         rhs = (falling_mod(n, k + 1, n).value - falling_mod(0, k + 1, n).value) % n
         if lhs != rhs:
             failures.append(f"telescoping sum identity: n={n} k={k} lhs={lhs} rhs={rhs}")

@@ -24,7 +24,15 @@ from rootsum import (
     sum_direct,
 )
 from rootsum import derivsum
-from rootsum.derivsum import _ROW_CHAIN_K, _falling_row, _leibnitz_rhs, _sum_doubling, _sum_mod
+from rootsum.derivsum import (
+    _ROW_CHAIN_K,
+    _falling_row,
+    _horner,
+    _leibnitz_rhs,
+    _period_row,
+    _sum_doubling,
+    _sum_mod,
+)
 from rootsum.falling import _falling_int
 from rootsum.harness import DROP_NONE, _scan_unit
 from oracles import brute_sum, brute_valuation, exact_falling
@@ -161,6 +169,63 @@ class TestFallingRow:
         _falling_row.cache_clear()
         _sum_mod(50, 12, 3, 1000003)
         assert _falling_row.cache_info().currsize <= 13
+
+
+def part_exponent(n, p, ell):
+    # exponent of the group of part residues alpha mod p^ell of the roots
+    # of unity mod n: cyclic of order gcd(n, phi(p^ell)) for odd p; for
+    # p = 2 (with 2^ell | n) every odd residue, of exponent 1, 2, 2^(ell-2)
+    if p == 2:
+        return 2 ** (ell - 2) if ell >= 3 else ell
+    return math.gcd(n, (p - 1) * p ** (ell - 1))
+
+
+class TestPeriodRow:
+    def test_near_unity_classes_match_direct_sum(self):
+        # every alpha == 1 (mod p) has alpha^(m/p) == 1 (mod m = p^j)
+        shapes = set()
+        for p in (2, 3, 5, 7, 11, 13):
+            for j in range(9):
+                m = p**j
+                if m > 500:
+                    break
+                period = m // p or 1
+                block = math.lcm(m, period)
+                alphas = range(1, m, p) if m > 1 else (1, 0, -4)
+                for n in range(1, 41):
+                    for k in range(15):
+                        coeffs = _period_row(n, k, m, period)
+                        assert [_horner(coeffs, alpha % m, m) for alpha in alphas] == [
+                            _sum_mod(n, k, alpha, m) for alpha in alphas
+                        ], (n, k, m)
+                        shapes.add("m = 1" if m == 1 else "k >= L" if k >= block else
+                                   "n < L" if n < block else "tail" if n % block > k else "full")
+        assert shapes == {"m = 1", "k >= L", "n < L", "tail", "full"}
+
+    def test_part_residues_of_roots_match_direct_sum_mod_n(self):
+        cases = 0
+        for n in range(1, 151):
+            roots = roots_of_unity(n)
+            for p, ell in factorize(n):
+                q = p**ell
+                period = part_exponent(n, p, ell)
+                parts = sorted({alpha % q for alpha in roots})
+                assert all(pow(a, period, q) == 1 for a in parts)
+                for k in range(13):
+                    for a in parts:
+                        assert _horner(_period_row(n, k, q, period), a, q) == _sum_mod(n, k, a, n) % q, (
+                            n, k, a
+                        )
+                        cases += 1
+        assert cases == 11180
+
+    def test_row_is_no_longer_than_the_falling_row(self):
+        # one route: a period beyond the row leaves the row itself
+        assert _period_row(30, 4, 1000003, 10**6) == _falling_row(30, 4, 1000003)
+        # alpha = 1 gives the sum of i(i-1) for i < 30, 2 * C(30, 3) = 8120 == 2 (mod 9)
+        assert _period_row(30, 2, 9, 3) == (2, 0, 0)
+        assert len(_period_row(200, 3, 9, 3)) == 3
+        assert _period_row(5, 7, 9, 3) == ()
 
 
 class TestSumByCrt:

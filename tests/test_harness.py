@@ -109,6 +109,23 @@ class TestResidueClassMemos:
             assert calls == {k: len({a % (k + 1) for a in roots}) for k in range(max_k + 1)}
 
 
+class TestLemmaChecks:
+    def test_telescoping_check_reads_the_oracle_row(self, monkeypatch):
+        real = harness._falling_row
+
+        def corrupt_one_entry(n, k, m):
+            row = real(n, k, m)
+            if (n, k, m) == (72, 3, 72):
+                return row[:5] + ((row[5] + 1) % m,) + row[6:]
+            return row
+
+        assert harness._lemma_checks(72, 5) == []
+        monkeypatch.setattr(harness, "_falling_row", corrupt_one_entry)
+        failures = harness._lemma_checks(72, 5)
+        assert len(failures) == 1
+        assert failures[0].startswith("telescoping sum identity: n=72 k=3 ")
+
+
 class TestHuntWeakened:
     def test_dropping_alpha_condition_surfaces_the_flagship_case(self):
         records = hunt_weakened(6, 2, DROP_CLAUSE_C_ALPHA)
