@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .derivsum import _sum_single
-from .numtheory import factorize, is_prime, mod_pow
+from .numtheory import _crt_unit, factorize, is_prime, mod_pow
 
 __all__ = [
     "CriterionVerdict",
@@ -152,8 +152,7 @@ def roots_of_unity(n: int) -> tuple[int, ...]:
             part = [1]
             for _ in range(d - 1):
                 part.append(part[-1] * h % q)
-        # unit vector of this part: 1 mod q, 0 mod n/q
-        e = n // q * pow(n // q, -1, q)
+        e = _crt_unit(n, q)
         roots = [(x + r * e) % n for x in roots for r in part]
     roots.sort()
     one = 1 % n

@@ -27,9 +27,9 @@ from operator import mul
 from .falling import _falling_int
 from .numtheory import (
     Residue,
+    _crt_unit,
     _require_prime,
     _valuation_of_int,
-    crt_combine,
     factorize,
     mod_inv,
 )
@@ -214,21 +214,25 @@ def sum_direct(q: SumQuery) -> Residue:
 def sum_by_crt(n: int, k: int, alpha: int) -> Residue:
     """Evaluate S(n, k, alpha) mod n through its prime-power parts.
 
-    Factorizes n, evaluates the sum mod each p^l, and recombines by the
-    chinese remainder theorem.  Each part takes the route sum_direct takes
-    for (n, k): binary doubling when n - k exceeds k * bit_length(n - k),
-    direct summation otherwise (measurements in sum_direct).  Agrees with sum_direct at modulus n for every alpha; no
-    root-of-unity hypothesis is involved.
+    Factorizes n, evaluates the sum mod each p^l || n, and recombines by
+    the chinese remainder theorem: the sum of each part residue times the
+    unit vector that is 1 mod p^l and 0 mod n / p^l, the one
+    roots_of_unity builds its roots with.  At n = 1 the sum is empty and
+    the result is 0 mod 1.  Each part takes the route sum_direct takes for
+    (n, k): binary doubling when n - k exceeds k * bit_length(n - k),
+    direct summation otherwise (measurements in sum_direct).  Agrees with
+    sum_direct at modulus n for every alpha; no root-of-unity hypothesis is
+    involved.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    parts = []
+    total = 0
     for p, ell in factorize(n):
         q = p**ell
-        parts.append(Residue(_sum_single(n, k, alpha, q), q))
-    return crt_combine(parts)
+        total += _sum_single(n, k, alpha, q) * _crt_unit(n, q)
+    return Residue(total, n)
 
 
 def _leibnitz_rhs(n: int, k: int, t: int, m: int) -> int:

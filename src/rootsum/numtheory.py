@@ -1,17 +1,16 @@
 """Exact integer and modular arithmetic primitives.
 
-Trial-division factorization, p-adic valuations, Legendre's factorial
-valuation formula, modular exponentiation and inversion, and
-chinese-remainder recombination.  Everything is a pure function of its
-arguments and all arithmetic is exact.
+Trial-division factorization, the p-adic valuation of a nonzero integer,
+Legendre's factorial valuation formula, modular exponentiation and
+inversion, and the chinese-remainder unit vectors that recombine residues
+mod the prime-power parts of n into one residue mod n.  Everything is a
+pure function of its arguments and all arithmetic is exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 __all__ = [
     "INFINITY",
@@ -21,17 +20,15 @@ __all__ = [
     "NotAUnitError",
     "is_prime",
     "factorize",
-    "nu_p",
     "legendre",
     "mod_pow",
     "mod_inv",
-    "crt_combine",
 ]
 
 #: Valuation of 0.  Compares above every finite valuation.
 INFINITY: float = float("inf")
 
-#: A p-adic valuation: an exact integer, or INFINITY for nu_p(0).
+#: A p-adic valuation: an exact integer, or INFINITY for the valuation of 0.
 Valuation = Union[int, float]
 
 #: Prime factorization as (prime, exponent) pairs, primes ascending.
@@ -102,20 +99,6 @@ def _valuation_of_int(x: int, p: int) -> int:
     return v
 
 
-def nu_p(x: Union[int, Fraction], p: int) -> Valuation:
-    """p-adic valuation of an integer or Fraction; nu_p(0) is INFINITY.
-
-    For fractions the result is nu_p(numerator) - nu_p(denominator), so it
-    may be negative.
-    """
-    _require_prime(p)
-    if x == 0:
-        return INFINITY
-    if isinstance(x, Fraction):
-        return _valuation_of_int(x.numerator, p) - _valuation_of_int(x.denominator, p)
-    return _valuation_of_int(x, p)
-
-
 def legendre(j: int, p: int) -> int:
     """nu_p(j!) as the finite sum of floor(j / p^i) over i >= 1."""
     if j < 0:
@@ -157,20 +140,8 @@ def mod_inv(a: int, m: int) -> Residue:
         raise NotAUnitError(f"{a} is not a unit modulo {m}") from None
 
 
-def crt_combine(residues: Iterable[Residue]) -> Residue:
-    """Combine residues with pairwise coprime moduli into a single residue.
-
-    The result is the unique residue modulo the product of the moduli that
-    reduces to every input.  The empty combination is 0 mod 1.
-    """
-    value, modulus = 0, 1
-    for r in residues:
-        if math.gcd(modulus, r.modulus) != 1:
-            raise ValueError("moduli must be pairwise coprime")
-        if r.modulus == 1:
-            continue
-        # x == value (mod modulus) and x == r.value (mod r.modulus)
-        t = (r.value - value) * pow(modulus, -1, r.modulus) % r.modulus
-        value += modulus * t
-        modulus *= r.modulus
-    return Residue(value, modulus)
+def _crt_unit(n: int, q: int) -> int:
+    # for q || n, the residue that is 1 mod q and 0 mod n/q; the sum of
+    # r_q * _crt_unit(n, q) over the parts q is the residue mod n reducing to
+    # every r_q (0 at q = 1, where both conditions say 0)
+    return n // q * pow(n // q, -1, q)

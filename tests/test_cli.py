@@ -265,3 +265,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["roots"] == [1, 5]
+
+
+def test_importing_the_cli_loads_no_unused_stdlib_modules():
+    # nothing on the CLI path needs fractions or decimal, and only a
+    # parallel scan needs multiprocessing
+    code = (
+        "import sys, rootsum.cli; "
+        "print(sorted({'fractions', 'decimal', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -18,7 +18,6 @@ from rootsum import (
     falling_valuation,
     legendre,
     leibnitz_identity_check,
-    nu_p,
     roots_of_unity,
     sum_by_crt,
     sum_direct,
@@ -482,9 +481,9 @@ class TestClosedFormCongruence:
 def expansion_valuations(n, k, alpha, p, j):
     # term j of S(n, k, 1 + y) expanded in powers of y is (y^j / j!) times
     # (n-1)-falling-(k+j) / (k+j+1) times n; returns nu_p of the weight and
-    # of the fraction
-    weight = j * nu_p(alpha - 1, p) - legendre(j, p)
-    fraction = falling_valuation(n - 1, k + j, p) - nu_p(k + j + 1, p)
+    # of the fraction.  y = 0 at alpha = 1, where the weight is INFINITY
+    weight = j * brute_valuation(alpha - 1, p) - legendre(j, p) if alpha != 1 else INFINITY
+    fraction = falling_valuation(n - 1, k + j, p) - brute_valuation(k + j + 1, p)
     return weight, fraction
 
 

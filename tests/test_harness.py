@@ -125,6 +125,20 @@ class TestLemmaChecks:
         assert len(failures) == 1
         assert failures[0].startswith("telescoping sum identity: n=72 k=3 ")
 
+    def test_telescoping_right_side_is_zero_mod_n(self):
+        # _lemma_checks compares (k+1) * row sum with 0, because the right
+        # side n-falling-(k+1) - 0-falling-(k+1) always is 0 mod n
+        from oracles import exact_falling
+        from rootsum import falling_mod
+
+        for n in range(1, 120):
+            for k in range(0, 16):
+                assert falling_mod(n, k + 1, n).value == 0
+                assert falling_mod(0, k + 1, n).value == 0
+                exact = exact_falling(n, k + 1)
+                assert (k + 1) * sum(exact_falling(i, k) for i in range(n)) == exact
+                assert exact % n == 0
+
 
 class TestHuntWeakened:
     def test_dropping_alpha_condition_surfaces_the_flagship_case(self):

@@ -1,7 +1,6 @@
 """Tests for the integer and modular arithmetic primitives."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,17 +10,16 @@ from rootsum import (
     INFINITY,
     NotAUnitError,
     Residue,
-    crt_combine,
     factorize,
     falling_valuation,
     is_prime,
     legendre,
     mod_inv,
     mod_pow,
-    nu_p,
     valuation_bounds,
 )
 from rootsum import numtheory
+from rootsum.numtheory import _crt_unit, _valuation_of_int
 from oracles import (
     brute_valuation,
     crt_brute_search,
@@ -106,26 +104,20 @@ class TestFactorize:
 
 
 class TestNuP:
+    # the valuation of a nonzero int; the valuation of 0 is INFINITY, which
+    # callers return before they divide
     def test_twelve_has_two_factors_of_two(self):
-        assert nu_p(12, 2) == 2
-
-    def test_zero_is_infinite(self):
-        assert nu_p(0, 3) == INFINITY
-        assert nu_p(Fraction(0), 5) == INFINITY
+        assert _valuation_of_int(12, 2) == 2
 
     def test_fraction_oracle(self):
-        # nu_5(7/50) = nu_5(7) - nu_5(50)
+        # a quotient's valuation is the difference of two int valuations,
+        # as falling_valuation(n - 1, k, p) - e is in valuation_bounds
         assert brute_valuation(7, 5) - brute_valuation(50, 5) == -2
-        assert nu_p(Fraction(7, 50), 5) == -2
+        assert _valuation_of_int(7, 5) - _valuation_of_int(50, 5) == -2
 
     def test_negative_inputs(self):
-        assert nu_p(-12, 2) == 2
-        assert nu_p(Fraction(-7, 50), 5) == -2
-
-    def test_rejects_non_prime(self):
-        for p in (0, 1, 4, 6, 9):
-            with pytest.raises(ValueError):
-                nu_p(10, p)
+        assert _valuation_of_int(-12, 2) == 2
+        assert _valuation_of_int(-7, 5) - _valuation_of_int(50, 5) == -2
 
     @given(
         st.integers(-10**6, 10**6).filter(lambda x: x != 0),
@@ -133,7 +125,8 @@ class TestNuP:
         st.sampled_from(PRIMES),
     )
     def test_additive_on_products(self, a, b, p):
-        assert nu_p(a * b, p) == nu_p(a, p) + nu_p(b, p)
+        assert _valuation_of_int(a * b, p) == _valuation_of_int(a, p) + _valuation_of_int(b, p)
+        assert _valuation_of_int(a, p) == brute_valuation(a, p)
 
     def test_infinity_sentinel_compares_above_everything(self):
         assert INFINITY > 10**18
@@ -252,32 +245,55 @@ class TestModInv:
                 mod_inv(a, m)
 
 
+def crt_recombine(parts: list[tuple[int, int]]) -> tuple[int, int]:
+    # the residue mod the product of the pairwise coprime moduli that reduces
+    # to every (value, modulus), through _crt_unit as sum_by_crt recombines
+    n = math.prod(q for _, q in parts)
+    return sum(v * _crt_unit(n, q) for v, q in parts) % n, n
+
+
 class TestCrtCombine:
     def test_two_small_moduli(self):
-        r = crt_combine([Residue(0, 2), Residue(1, 3)])
-        assert (r.value, r.modulus) == (4, 6)
+        assert (_crt_unit(6, 2), _crt_unit(6, 3)) == (3, 4)
+        assert crt_recombine([(0, 2), (1, 3)]) == (4, 6)
 
     def test_singleton_identity(self):
-        r = crt_combine([Residue(5, 7)])
-        assert (r.value, r.modulus) == (5, 7)
+        assert _crt_unit(7, 7) == 1
+        assert crt_recombine([(5, 7)]) == (5, 7)
 
     def test_empty_combination(self):
-        r = crt_combine([])
-        assert (r.value, r.modulus) == (0, 1)
+        # n = 1 has no parts: the empty sum is 0 mod 1, and so is the unit
+        assert crt_recombine([]) == (0, 1)
+        assert _crt_unit(1, 1) == 0
 
     def test_prime_power_moduli_against_scan(self):
         expected = crt_brute_search([(2, 4), (2, 9)])
         assert expected == (2, 36)
-        r = crt_combine([Residue(2, 4), Residue(2, 9)])
-        assert (r.value, r.modulus) == expected
-
-    def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
-            crt_combine([Residue(1, 6), Residue(3, 4)])
+        assert crt_recombine([(2, 4), (2, 9)]) == expected
+        for n in (8, 27, 125, 2**10):
+            assert _crt_unit(n, n) == 1
 
     def test_modulus_one_inputs_are_neutral(self):
-        r = crt_combine([Residue(0, 1), Residue(3, 5), Residue(0, 1)])
-        assert (r.value, r.modulus) == (3, 5)
+        assert _crt_unit(5, 1) == 0
+        assert crt_recombine([(0, 1), (3, 5), (0, 1)]) == (3, 5)
+
+    @given(st.integers(1, 10**9))
+    @settings(max_examples=150)
+    def test_unit_is_one_mod_q_and_zero_mod_the_rest(self, n):
+        for p, ell in factorize(n):
+            q = p**ell
+            e = _crt_unit(n, q)
+            assert 0 <= e < n
+            assert e % q == 1 % q
+            assert e % (n // q) == 0
+
+    @given(st.integers(1, 2000))
+    @settings(max_examples=60)
+    def test_recombines_every_residue(self, n):
+        parts = [p**ell for p, ell in factorize(n)]
+        units = [_crt_unit(n, q) for q in parts]
+        for x in range(n):
+            assert sum(x % q * e for q, e in zip(parts, units)) % n == x
 
     @given(st.data())
     @settings(max_examples=150)
@@ -289,9 +305,16 @@ class TestCrtCombine:
             if prod * m <= 10**4 and all(math.gcd(m, c) == 1 for c in chosen):
                 chosen.append(m)
                 prod *= m
-        residues = [
-            Residue(data.draw(st.integers(0, m - 1)), m) for m in chosen
-        ]
-        combined = crt_combine(residues)
-        expected = crt_brute_search([(r.value, r.modulus) for r in residues])
-        assert (combined.value, combined.modulus) == expected
+        parts = [(data.draw(st.integers(0, m - 1)), m) for m in chosen]
+        assert crt_recombine(parts) == crt_brute_search(parts)
+
+
+def test_retired_arithmetic_entry_points_are_not_exported():
+    # nu_p and crt_combine were removed: the library reads integer
+    # valuations through _valuation_of_int and recombines through _crt_unit
+    import rootsum
+
+    for name in ("nu_p", "crt_combine"):
+        assert name not in rootsum.__all__ and name not in numtheory.__all__
+        assert not hasattr(rootsum, name) and not hasattr(numtheory, name)
+
