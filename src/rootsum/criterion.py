@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .derivsum import _sum_single
 from .numtheory import _crt_unit, factorize, is_prime, mod_pow
@@ -104,12 +105,19 @@ def _subgroup_order(n: int, p: int, ell: int) -> int:
     return math.gcd(n, (p - 1) * p ** (ell - 1))
 
 
+@lru_cache(maxsize=1)
+def _factors(n: int) -> tuple[tuple[int, int], ...]:
+    # factorize(n), kept for the next call: the roots command asks
+    # _root_count(n) and then roots_of_unity(n), which factorize n once
+    return tuple(factorize(n))
+
+
 def _root_count(n: int) -> int:
     # how many roots roots_of_unity(n) returns, without building them: the
     # product over p^l || n of gcd(n, phi(p^l)), at one factorization of n
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return math.prod(_subgroup_order(n, p, ell) for p, ell in factorize(n))
+    return math.prod(_subgroup_order(n, p, ell) for p, ell in _factors(n))
 
 
 def _primitive_root(p: int) -> int:
@@ -142,7 +150,7 @@ def roots_of_unity(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     roots = [0]
-    for p, ell in factorize(n):
+    for p, ell in _factors(n):
         q = p**ell
         d = _subgroup_order(n, p, ell)
         if p == 2:

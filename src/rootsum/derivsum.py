@@ -275,6 +275,15 @@ def leibnitz_identity_check(n: int, k: int, t: int, m: int) -> bool:
     return _sum_mod(n, k, t, m) == _leibnitz_rhs(n, k, t, m)
 
 
+def _near_unity_sides(n: int, k: int, p: int) -> tuple[int, tuple[int, ...], int]:
+    # (m, row, rhs) for the near-unity congruence at (n, k, p): the modulus
+    # m = p^(l+e), the period sums with (k+1) * S(n, k, alpha) ==
+    # (k+1) * _horner(row, alpha mod m, m) (mod m) for every alpha == 1
+    # (mod p), and the right side (n-1)-falling-k * n mod m.  p is prime.
+    m = p ** (_valuation_of_int(n, p) + _valuation_of_int(k + 1, p))
+    return m, _period_row(n, k, m, m // p or 1), _falling_int(n - 1, k, m) * (n % m) % m
+
+
 @dataclass(frozen=True)
 class CongruenceReport:
     """Outcome of one near-unity congruence check.
@@ -303,21 +312,21 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
     S is evaluated mod m = p^(l+e) as a polynomial in alpha of degree below
     m/p: every alpha == 1 (mod p) has alpha^(m/p) == 1 (mod m), so the n - k
     terms fold into at most m/p period sums, memoized per (n, k, m), and
-    each call is one Horner pass over those.
+    each call is one Horner pass over those.  The modulus, the period sums
+    and the right side come from _near_unity_sides, which the
+    --check-lemmas loop reads too: it runs the same Horner pass once per
+    class alpha mod m, with no report object.
     """
     if n < 1 or k < 0:
         raise ValueError("closed_form_congruence requires n >= 1 and k >= 0")
     _require_prime(p)
     if alpha % p != 1:
         raise ValueError(f"alpha = {alpha} must be 1 mod {p}")
-    ell = _valuation_of_int(n, p)
-    e = _valuation_of_int(k + 1, p)
-    m = p ** (ell + e)
-    lhs = (k + 1) * _horner(_period_row(n, k, m, m // p or 1), alpha % m, m) % m
-    rhs = _falling_int(n - 1, k, m) * (n % m) % m
+    m, row, rhs = _near_unity_sides(n, k, p)
+    lhs = (k + 1) * _horner(row, alpha % m, m) % m
     return CongruenceReport(
         p=p,
-        ell=ell,
+        ell=_valuation_of_int(n, p),
         lhs_times_kp1=Residue(lhs, m),
         rhs_times_kp1=Residue(rhs, m),
         congruent=lhs == rhs,

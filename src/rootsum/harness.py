@@ -21,14 +21,14 @@ from typing import Collection, Optional
 
 from .criterion import predict_vanishing, roots_of_unity
 from .derivsum import (
-    CongruenceReport,
     _falling_row,
+    _horner,
+    _near_unity_sides,
     _sum_mod,
-    closed_form_congruence,
     leibnitz_identity_check,
 )
 from .falling import valuation_bounds
-from .numtheory import _valuation_of_int, factorize
+from .numtheory import factorize
 
 __all__ = [
     "DROP_CLAUSE_B",
@@ -103,13 +103,14 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
     side, n-falling-(k+1) - 0-falling-(k+1), is 0 mod n for every n and k,
     so (k+1) times the row sum is compared with 0.
 
-    The near-unity report depends on alpha only through alpha mod p^(l+e),
-    with l = nu_p(n) and e = nu_p(k+1), since the sum is evaluated mod that
-    power.  It is therefore computed once per residue class for each (p, k)
-    and reused for every other alpha in the class; failures are still
-    reported once per alpha, in ascending alpha order.  Each class costs
-    one Horner pass over the period sums closed_form_congruence folds the
-    row into, not over n terms.
+    The near-unity congruence covers every alpha == 1 (mod p) below n, and
+    both its sides depend on alpha only through alpha mod m = p^(l+e), with
+    l = nu_p(n) and e = nu_p(k+1).  Those classes are exactly
+    range(1, min(n, m), p).  For each (p, k) the modulus, period sums and
+    right side are taken once from _near_unity_sides, the computation
+    closed_form_congruence makes, and each class is checked by its own
+    Horner pass over the period sums, not over n terms.  A failing class
+    is reported once per alpha in it, in ascending alpha order.
     """
     failures: list[str] = []
 
@@ -145,19 +146,18 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
         if lhs != 0:
             failures.append(f"telescoping sum identity: n={n} k={k} lhs={lhs} rhs=0")
 
-    for p, ell in factorize(n):
+    for p, _ in factorize(n):
         for k in range(max_k + 1):
-            m = p ** (ell + _valuation_of_int(k + 1, p))
-            reports: dict[int, CongruenceReport] = {}
-            for alpha in range(1, n, p):
-                report = reports.get(alpha % m)
-                if report is None:
-                    report = reports[alpha % m] = closed_form_congruence(n, k, alpha, p)
-                if not report.congruent:
-                    failures.append(
-                        f"near-unity congruence: n={n} k={k} p={p} alpha={alpha} "
-                        f"lhs={report.lhs_times_kp1.value} rhs={report.rhs_times_kp1.value}"
-                    )
+            m, row, rhs = _near_unity_sides(n, k, p)
+            bad: list[tuple[int, int]] = []
+            for c in range(1, min(n, m), p):
+                lhs = (k + 1) * _horner(row, c, m) % m
+                if lhs != rhs:
+                    bad.extend((alpha, lhs) for alpha in range(c, n, m))
+            failures.extend(
+                f"near-unity congruence: n={n} k={k} p={p} alpha={alpha} lhs={lhs} rhs={rhs}"
+                for alpha, lhs in sorted(bad)
+            )
 
     for k in range(min(max_k, 6) + 1):
         for t in (0, 2, n - 2):

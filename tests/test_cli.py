@@ -63,6 +63,23 @@ class TestRoots:
         assert code == 0
         assert "0" in out
 
+    def test_factorizes_n_once(self, capsys, monkeypatch):
+        # the cap check and the enumeration read one factorization
+        from rootsum import criterion
+
+        real, calls = criterion.factorize, []
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(criterion, "factorize", counting)
+        criterion._factors.cache_clear()
+        code, out, _ = run_cli(capsys, "roots", "--n", "2147483646", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["count"] == 171072
+        assert calls.count(2147483646) == 1
+
 
 class TestCheck:
     def test_json_schema_fields(self, capsys):

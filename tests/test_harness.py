@@ -1,6 +1,5 @@
 """Tests for the scan / hunt harness."""
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -15,6 +14,7 @@ from rootsum import (
     scan,
 )
 from rootsum import harness
+from rootsum.numtheory import factorize
 
 
 class TestScan:
@@ -65,32 +65,82 @@ class TestScan:
 class TestResidueClassMemos:
     def test_near_unity_checked_once_per_class_and_reported_per_alpha(self, monkeypatch):
         from oracles import brute_valuation
+        from rootsum import closed_form_congruence, derivsum
 
-        real = harness.closed_form_congruence
-        calls = []
+        # 72 = 2^3 * 3^2 and nu_3(3) = 1, so the class of 4 mod 27 at (p, k) = (3, 2)
+        target = derivsum._period_row(72, 2, 27, 9)
+        real_horner, real_sides = derivsum._horner, harness._near_unity_sides
+        visits = []
 
-        def failing_one_class(n, k, alpha, p):
-            # 72 = 2^3 * 3^2 and nu_3(3) = 1, so the class of 4 mod 27 at (p, k) = (3, 2)
-            calls.append((p, k, alpha))
-            report = real(n, k, alpha, p)
-            if (p, k) == (3, 2) and alpha % 27 == 4:
-                return dataclasses.replace(report, congruent=False)
-            return report
+        def sides(n, k, p):
+            visits.append(((p, k), []))
+            return real_sides(n, k, p)
 
-        monkeypatch.setattr(harness, "closed_form_congruence", failing_one_class)
+        def failing_one_class(coeffs, a, m):
+            # the Horner pass closed_form_congruence runs
+            value = real_horner(coeffs, a, m)
+            if m == 27 and a == 4 and coeffs == target:
+                return (value + 1) % m
+            return value
+
+        def counted(coeffs, a, m):
+            # the Horner pass the harness loop runs, once per class
+            visits[-1][1].append(a)
+            return failing_one_class(coeffs, a, m)
+
+        good = closed_form_congruence(72, 2, 4, 3)
+        monkeypatch.setattr(harness, "_near_unity_sides", sides)
+        monkeypatch.setattr(harness, "_horner", counted)
+        monkeypatch.setattr(derivsum, "_horner", failing_one_class)
         n, max_k = 72, 5
         failures = harness._lemma_checks(n, max_k)
 
-        report = real(n, 2, 4, 3)
+        report = closed_form_congruence(72, 2, 4, 3)
+        assert good.congruent and not report.congruent
+        assert report.rhs_times_kp1 == good.rhs_times_kp1
         tail = f"lhs={report.lhs_times_kp1.value} rhs={report.rhs_times_kp1.value}"
         assert failures == [
             f"near-unity congruence: n=72 k=2 p=3 alpha={alpha} {tail}" for alpha in (4, 31, 58)
         ]
-        for p in (2, 3):
-            for k in range(max_k + 1):
-                m = p ** (brute_valuation(n, p) + brute_valuation(k + 1, p))
-                called = [alpha % m for q, kk, alpha in calls if (q, kk) == (p, k)]
-                assert sorted(called) == sorted({alpha % m for alpha in range(1, n, p)})
+        assert sorted(key for key, _ in visits) == [
+            (p, k) for p in (2, 3) for k in range(max_k + 1)
+        ]
+        for (p, k), classes in visits:
+            m = p ** (brute_valuation(n, p) + brute_valuation(k + 1, p))
+            assert sorted(classes) == sorted({alpha % m for alpha in range(1, n, p)})
+
+    def test_near_unity_loop_and_closed_form_congruence_are_one_computation(self, monkeypatch):
+        from rootsum import closed_form_congruence
+
+        real_sides = harness._near_unity_sides
+        rhs_seen = {}
+
+        def every_class_fails(n, k, p):
+            # a right side no lhs in [0, m) can equal, so _lemma_checks lists
+            # every alpha with the lhs it computed for alpha's class
+            m, row, rhs = real_sides(n, k, p)
+            rhs_seen[n, k, p] = rhs
+            assert set(range(1, min(n, m), p)) == {a % m for a in range(1, n, p)}
+            return m, row, -1
+
+        monkeypatch.setattr(harness, "_near_unity_sides", every_class_fails)
+        prefix = "near-unity congruence: "
+        for n in range(1, 121):
+            listed = {}
+            for failure in harness._lemma_checks(n, 12):
+                assert failure.startswith(prefix)
+                fields = dict(f.split("=") for f in failure[len(prefix):].split())
+                assert int(fields["n"]) == n and fields["rhs"] == "-1"
+                key = int(fields["k"]), int(fields["p"])
+                listed.setdefault(key, []).append((int(fields["alpha"]), int(fields["lhs"])))
+            expected_keys = {(k, p) for p, _ in factorize(n) for k in range(13)}
+            assert set(listed) == expected_keys
+            for (k, p), rows in listed.items():
+                assert [alpha for alpha, _ in rows] == list(range(1, n, p))
+                for alpha, lhs in rows:
+                    report = closed_form_congruence(n, k, alpha, p)
+                    assert lhs == report.lhs_times_kp1.value
+                    assert rhs_seen[n, k, p] == report.rhs_times_kp1.value
 
     def test_scan_unit_decides_once_per_k_and_alpha_mod_k_plus_1(self, monkeypatch):
         real = harness.predict_vanishing
