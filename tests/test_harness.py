@@ -92,7 +92,8 @@ class TestResidueClassMemos:
         monkeypatch.setattr(harness, "_near_unity_sides", sides)
         monkeypatch.setattr(harness, "_horner", counted)
         monkeypatch.setattr(derivsum, "_horner", failing_one_class)
-        n, max_k = 72, 5
+        # k = 8 gives m = 3^4 = 81 > n, where the classes stop below n
+        n, max_k = 72, 8
         failures = harness._lemma_checks(n, max_k)
 
         report = closed_form_congruence(72, 2, 4, 3)
