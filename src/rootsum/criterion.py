@@ -107,8 +107,8 @@ def _subgroup_order(n: int, p: int, ell: int) -> int:
 
 @lru_cache(maxsize=1)
 def _factors(n: int) -> tuple[tuple[int, int], ...]:
-    # factorize(n), kept for the next call: the roots command asks
-    # _root_count(n) and then roots_of_unity(n), which factorize n once
+    # factorize(n), kept for the next call: the roots command calls
+    # _root_count(n) and then roots_of_unity(n), and both read this one
     return tuple(factorize(n))
 
 

@@ -277,9 +277,9 @@ def leibnitz_identity_check(n: int, k: int, t: int, m: int) -> bool:
 
 def _near_unity_sides(n: int, k: int, p: int) -> tuple[int, tuple[int, ...], int]:
     # (m, row, rhs) for the near-unity congruence at (n, k, p): the modulus
-    # m = p^(l+e), the period sums with (k+1) * S(n, k, alpha) ==
-    # (k+1) * _horner(row, alpha mod m, m) (mod m) for every alpha == 1
-    # (mod p), and the right side (n-1)-falling-k * n mod m.  p is prime.
+    # m = p^(l+e), the period sums with S(n, k, alpha) ==
+    # _horner(row, alpha mod m, m) (mod m) for every alpha == 1 (mod p), and
+    # the right side (n-1)-falling-k * n mod m.  p is prime.
     m = p ** (_valuation_of_int(n, p) + _valuation_of_int(k + 1, p))
     return m, _period_row(n, k, m, m // p or 1), _falling_int(n - 1, k, m) * (n % m) % m
 
@@ -314,8 +314,7 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
     terms fold into at most m/p period sums, memoized per (n, k, m), and
     each call is one Horner pass over those.  The modulus, the period sums
     and the right side come from _near_unity_sides, which the
-    --check-lemmas loop reads too: it runs the same Horner pass once per
-    class alpha mod m, with no report object.
+    --check-lemmas loop also reads, once per (p, k).
     """
     if n < 1 or k < 0:
         raise ValueError("closed_form_congruence requires n >= 1 and k >= 0")
