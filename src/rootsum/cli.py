@@ -15,10 +15,13 @@ scan --jobs at MAX_JOBS = 64 worker processes, and roots at
 MAX_ROOTS = 2**20 roots: the count is known from the factorization of n
 before any root is built, and a larger count is a usage error.
 
-Limits that are not capped: eval and check cost O(k^2 log n) on the
-doubling route and O((n-k) * k) on direct summation (see
-derivsum.sum_direct), so a large k stays expensive at any n; scan and hunt
-grow with the range they are given.
+Limits that are not capped: eval and check cost O(k + log n) in constant
+memory (the closed form in derivsum.sum_direct), about 0.4 microseconds
+per unit of k.  check --n 1000000 --k 200000 --alpha 1 and eval --n
+2147483647 --k 3000 each take 0.16 s, interpreter start included, and
+k = 2**22 takes 1.8 s, so a k near the 2**31 cap would take about 15
+minutes (extrapolated, not run).  A sum with n <= k is empty and costs
+nothing.  scan and hunt grow with the range they are given.
 """
 
 from __future__ import annotations

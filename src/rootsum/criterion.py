@@ -11,9 +11,9 @@ is divisible by n if and only if at least one of three clauses holds:
 predict_vanishing evaluates the clauses from the arithmetic of k+1, n and
 alpha alone, in time independent of n's size.  The ground truth is
 evaluation of the sum itself, by the route derivsum.sum_direct takes
-(direct summation, or binary doubling for long sums): the two must agree on
-every n-th root of unity mod n, and the scan harness checks exactly that by
-direct summation.
+(direct summation on short rows, its closed form otherwise): the two must
+agree on every n-th root of unity mod n, and the scan harness checks
+exactly that by direct summation.
 """
 
 from __future__ import annotations

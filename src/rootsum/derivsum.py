@@ -5,8 +5,8 @@ i.e. the sum of i-falling-k * alpha^(i-k) over k <= i < n.  Terms with
 i < k vanish identically because i-falling-k = 0 there, so the sum never
 needs a negative power of alpha and is defined for every integer alpha.
 
-Besides evaluation (direct summation or binary doubling, and a
-chinese-remainder variant), this module checks the two structural
+Besides evaluation (direct summation, a closed form for single queries and
+a chinese-remainder variant), this module checks the two structural
 identities that explain when S vanishes:
 
 * the Leibnitz product-rule closed form, obtained by differentiating
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 from .falling import _falling_int
 from .numtheory import (
@@ -110,55 +109,92 @@ def _sum_mod(n: int, k: int, alpha: int, m: int) -> int:
     return _horner(_falling_row(n, k, m), alpha % m, m)
 
 
-def _binomials(a: int, k: int, m: int) -> list[int]:
-    # C(a, r) mod m for 0 <= r <= k, reduced from exact integers, since
-    # r + 1 need not be a unit mod m
-    row = [1 % m]
-    c = 1
-    for r in range(k):
-        c = c * (a - r) // (r + 1)
-        row.append(c % m)
-    return row
+def _leibnitz_rhs(n: int, k: int, t: int, m: int) -> int:
+    """The product-rule closed form of S(n, k, t) mod m.
+
+    Writing the geometric polynomial as (1 - t^n) * u with u = (1 - t)^(-1)
+    and differentiating k times by the Leibnitz rule:
+
+        S(n, k, t) = k! * u^(k+1)
+                     - sum over 0 <= j <= k of
+                       (k!/j!) * n-falling-j * t^(n-j) * u^(k+1-j)
+
+    For n > k the sum is t^(n-k) * u times sum over j of
+    n-falling-j * (k!/j!) * (t*u)^(k-j), one Horner pass in j with a running
+    n-falling-j: O(k + log n) steps and no list.  For n <= k, S is the empty
+    sum 0 (the terms with j > n carry n-falling-j = 0).
+
+    Raises NotAUnitError when 1 - t is not invertible mod m.
+    """
+    u = mod_inv(1 - t, m).value
+    if n <= k:
+        return 0
+    t %= m
+    v = t * u % m
+    falling = 1
+    acc = 1 % m
+    for j in range(k):
+        falling = falling * (n - j) % m
+        acc = (acc * (j + 1) * v + falling) % m
+    return (_falling_int(k, k, m) * pow(u, k + 1, m) - pow(t, n - k, m) * u * acc) % m
 
 
-def _sum_doubling(n: int, k: int, alpha: int, m: int) -> int:
-    # S = k! * sum over j < n-k of C(j+k, k) alpha^j, and by Vandermonde
-    # C(j+k, k) = sum over t of C(k, t) C(j, t).  T_t(N), the sum over
-    # j < N of C(j, t) alpha^j, obeys
-    #     T_t(A+B) = T_t(A) + alpha^A * sum over s of C(A, t-s) T_s(B),
-    # so T(n-k) is built from the bits of n-k: O(k^2 log n) steps, no
-    # division, any modulus and any alpha.
-    length = n - k
-    if length <= 0:
+def _split_modulus(m: int, a: int) -> tuple[int, int]:
+    # m = b * g with every prime of b dividing a - 1 and g prime to a - 1
+    g = m
+    d = math.gcd(g, a - 1)
+    while d > 1:
+        g //= d
+        d = math.gcd(g, d)
+    return m // g, g
+
+
+def _sum_near_one(n: int, k: int, y: int, b: int) -> int:
+    # S(n, k, 1 + y) mod b when every prime of b divides y.  Expanding
+    # (1 + y)^(i-k) and summing each power of y by the hockey-stick identity,
+    #     S = sum over s >= 0 of y^s * n-falling-(k+s+1) / ((k+s+1) * s!)
+    # exactly, and y^s == 0 (mod b) from s = bit_length(b) on.  Each
+    # quotient is exact, so it is the numerator mod b * d divided by d, for
+    # d = (k+s+1) * s!; one running numerator mod b * lcm(d) serves every s.
+    terms = 1
+    while pow(y, terms, b):
+        terms += 1
+    divisors = [(k + s + 1) * math.factorial(s) for s in range(terms)]
+    big = b * math.lcm(*divisors)
+    numerator = _falling_int(n, k + 1, big)
+    total = 0
+    for s, d in enumerate(divisors):
+        total += pow(y, s, b) * (numerator % (b * d) // d)
+        numerator = numerator * (n - k - 1 - s) % big
+    return total % b
+
+
+def _sum_closed(n: int, k: int, alpha: int, m: int) -> int:
+    # S(n, k, alpha) mod m in O(k + log n) with no row and no factorization:
+    # the Leibnitz form mod the part g of m prime to alpha - 1, the
+    # expansion around alpha = 1 mod the rest b, recombined by CRT
+    if n <= k:
         return 0
     a = alpha % m
-    t_vec = [0] * (k + 1)  # T(A)
-    power = 1 % m  # alpha^A
-    done = 0  # A
-    for bit in bin(length)[2:]:
-        if done:  # A -> 2A
-            binom = _binomials(done, k, m)
-            t_vec = [
-                (x + power * sum(map(mul, binom[t::-1], t_vec))) % m
-                for t, x in enumerate(t_vec)
-            ]
-            power = power * power % m
-            done *= 2
-        if bit == "1":  # A -> A+1: T_t gains C(A, t) alpha^A
-            t_vec = [(x + power * c) % m for x, c in zip(t_vec, _binomials(done, k, m))]
-            power = power * a % m
-            done += 1
-    total = sum(map(mul, _binomials(k, k, m), t_vec))
-    return _falling_int(k, k, m) * total % m
+    b, g = _split_modulus(m, a)
+    total = 0
+    if g > 1:
+        total += _leibnitz_rhs(n, k, a, g) * _crt_unit(m, g)
+    if b > 1:
+        total += _sum_near_one(n, k, a - 1, b) * _crt_unit(m, b)
+    return total % m
+
+
+_SHORT_ROW = 16  # direct summation up to this many falling-factorial products
 
 
 def _sum_single(n: int, k: int, alpha: int, m: int) -> int:
-    # one evaluation with no row to share: doubling once n - k exceeds
-    # k * bit_length(n - k), direct summation below
-    terms = n - k
-    if terms > k * terms.bit_length():
-        return _sum_doubling(n, k, alpha, m)
-    return _sum_mod(n, k, alpha, m)
+    # one evaluation with no row to share: a cold row chain costs about
+    # (n - k) * (k + 1) products, which beats the closed form only on the
+    # shortest rows
+    if 0 < (n - k) * (k + 1) <= _SHORT_ROW:
+        return _sum_mod(n, k, alpha, m)
+    return _sum_closed(n, k, alpha, m)
 
 
 def sum_direct(q: SumQuery) -> Residue:
@@ -171,37 +207,45 @@ def sum_direct(q: SumQuery) -> Residue:
       multiply per term from row k - 1 (each term its own k-term product
       above k = 32), then one multiply-add per term, so O(n * k) cold and
       O(n-k) once row k or k - 1 is warm;
-    * binary doubling over binomial sums (Vandermonde's identity), with
-      no row and no division, in O(k^2 log n).
+    * a closed form in O(k + log n), with no row, no factorization and no
+      integer that grows with k.  The modulus splits as b * g, where every
+      prime of b divides alpha - 1 and g is prime to it.  Mod g, 1 - alpha
+      is a unit and the Leibnitz product-rule form applies; mod b, the
+      expansion of S around alpha = 1 ends after at most bit_length(b)
+      terms.  The chinese remainder theorem joins the two parts.
 
-    Doubling runs when n - k exceeds k * bit_length(n - k), the ratio of
-    the cold direct cost to the doubling cost with constants dropped.  That
-    one bound keeps a large k on direct summation, where the k^2 cost of
-    doubling outgrows the row, and sends every long sum with a small k to
-    doubling, whether or not its row would be reused: a warm row beats
-    doubling only when nearly every call repeats a key (at n = 1000,
-    k = 12, above 90% of calls), and on short sums the two differ by a few
-    microseconds.  Measured at modulus 1000003 and alpha 3, best of five
-    calls on a 2-vCPU VM (direct cold: the median of three such runs, each
-    building the whole chain of rows 0..k):
+    Direct summation runs only on short non-empty rows, where the
+    (n - k) * (k + 1) products of a cold row chain number at most 16, and
+    the closed form takes everything else, whether or not a row would be
+    reused: a warm row beats it only on short sums, by a few microseconds.
+    Each row of a cold chain costs about a microsecond, so the crossover
+    depends mostly on k: cold direct summation beats the closed form up to
+    about 50 terms at k = 0, and they tie at 6 to 16 terms at k = 1 and
+    at about 4 terms at k = 2 (12 to 32 products, across runs), while from
+    k = 3 on the closed form wins at any length.  The bound of 16 sits in
+    the measured crossover at k = 1 and 2; elsewhere below k = 16 it is
+    off by a few microseconds.  Measured at modulus 1000003 and alpha 3,
+    best of five calls on a 2-vCPU VM (direct cold: the median of three
+    such runs, each building the whole chain of rows 0..k):
 
-        n        k     doubling   direct cold   direct warm   route
-        20       2     0.02 ms    0.008 ms      0.002 ms      doubling
-        50       12    0.08 ms    0.07 ms       0.003 ms      direct
-        100      12    0.08 ms    0.13 ms       0.007 ms      doubling
-        300      12    0.11 ms    0.39 ms       0.03 ms       doubling
-        1000     12    0.15 ms    1.4 ms        0.07 ms       doubling
-        3000     12    0.19 ms    5.0 ms        0.29 ms       doubling
-        1e5      12    0.39 ms    174 ms        7.2 ms        doubling
-        2**31    12    0.55 ms    -             -             doubling
-        1000     2     0.06 ms    0.32 ms       0.09 ms       doubling
-        5000     100   4.8 ms     41 ms         0.36 ms       doubling
-        3000     1000  208 ms     184 ms        0.20 ms       direct
+        n        k        closed     direct cold   direct warm
+        20       2        0.004 ms   0.008 ms      0.001 ms
+        50       12       0.005 ms   0.05 ms       0.003 ms
+        100      12       0.005 ms   0.10 ms       0.008 ms
+        300      12       0.007 ms   0.29 ms       0.02 ms
+        1000     12       0.006 ms   1.4 ms        0.10 ms
+        3000     12       0.010 ms   3.5 ms        0.21 ms
+        1e5      12       0.006 ms   139 ms        6.9 ms
+        2**31    12       0.008 ms   -             -
+        1000     2        0.003 ms   0.22 ms       0.06 ms
+        5000     100      0.023 ms   32 ms         0.32 ms
+        3000     1000     0.30 ms    129 ms        0.12 ms
+        1e6      200000   53 ms      -             -
 
     Each column is one timeit command, run from the repository root (shown
     at n = 1000, k = 12; the criterion, which evaluates no sum, for scale):
 
-        PYTHONPATH=src python -m timeit -s "from rootsum.derivsum import _sum_doubling" "_sum_doubling(1000, 12, 3, 1000003)"
+        PYTHONPATH=src python -m timeit -s "from rootsum.derivsum import _sum_closed" "_sum_closed(1000, 12, 3, 1000003)"
         PYTHONPATH=src python -m timeit -s "from rootsum.derivsum import _sum_mod, _falling_row" "_falling_row.cache_clear(); _sum_mod(1000, 12, 3, 1000003)"
         PYTHONPATH=src python -m timeit -s "from rootsum.derivsum import _sum_mod" "_sum_mod(1000, 12, 3, 1000003)"
         PYTHONPATH=src python -m timeit -s "from rootsum import predict_vanishing" "predict_vanishing(300, 12, 299)"
@@ -218,11 +262,10 @@ def sum_by_crt(n: int, k: int, alpha: int) -> Residue:
     the chinese remainder theorem: the sum of each part residue times the
     unit vector that is 1 mod p^l and 0 mod n / p^l, the one
     roots_of_unity builds its roots with.  At n = 1 the sum is empty and
-    the result is 0 mod 1.  Each part takes the route sum_direct takes for
-    (n, k): binary doubling when n - k exceeds k * bit_length(n - k),
-    direct summation otherwise (measurements in sum_direct).  Agrees with
-    sum_direct at modulus n for every alpha; no root-of-unity hypothesis is
-    involved.
+    the result is 0 mod 1.  Each part takes the route sum_direct takes:
+    direct summation on short rows, the closed form otherwise (measurements
+    in sum_direct).  Agrees with sum_direct at modulus n for every alpha; no
+    root-of-unity hypothesis is involved.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -233,32 +276,6 @@ def sum_by_crt(n: int, k: int, alpha: int) -> Residue:
         q = p**ell
         total += _sum_single(n, k, alpha, q) * _crt_unit(n, q)
     return Residue(total, n)
-
-
-def _leibnitz_rhs(n: int, k: int, t: int, m: int) -> int:
-    """The product-rule closed form of S(n, k, t) mod m.
-
-    Writing the geometric polynomial as (t^n - 1) * (t - 1)^(-1) and
-    differentiating k times:
-
-        S(n, k, t) = -(t^n - 1) * k! * (1-t)^(-1-k)
-                     - sum over 0 <= i < k of
-                       k-falling-i * n-falling-(k-i) * t^(n-k+i) * (1-t)^(-1-i)
-
-    Raises NotAUnitError when 1 - t is not invertible mod m.  Terms whose
-    power of t would be negative carry the integer coefficient
-    n-falling-(k-i) = 0 (as k - i > n there) and are skipped exactly.
-    """
-    u = mod_inv(1 - t, m).value
-    t_red = t % m
-    rhs = -(pow(t_red, n, m) - 1) * _falling_int(k, k, m) % m * pow(u, k + 1, m) % m
-    for i in range(k):
-        if k - i > n:
-            continue
-        coeff = _falling_int(k, i, m) * _falling_int(n, k - i, m) % m
-        term = coeff * pow(t_red, n - k + i, m) % m * pow(u, i + 1, m) % m
-        rhs = (rhs - term) % m
-    return rhs
 
 
 def leibnitz_identity_check(n: int, k: int, t: int, m: int) -> bool:

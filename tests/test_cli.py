@@ -1,15 +1,17 @@
 """CLI behavior: formats, schemas, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
 import rootsum.cli as cli
 from rootsum import MismatchRecord, ScanReport
 from rootsum.cli import main
-from oracles import exact_falling
+from oracles import exact_falling, sum_doubling
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +48,17 @@ class TestEval:
         )
         assert code == 0
         assert json.loads(out)["residue"] == exact_falling(n, 13) // 13 % 1000003
+
+    def test_large_n_and_k_within_two_seconds(self, capsys):
+        argv = ["eval", "--n", "2147483647", "--alpha", "3", "--modulus", "1000003", "--format", "json"]
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv, "--k", "3000")
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert 0 <= json.loads(out)["residue"] < 1000003
+        # the same route at a k the doubling reference can reach
+        code, out, _ = run_cli(capsys, *argv, "--k", "40")
+        assert json.loads(out)["residue"] == sum_doubling(2147483647, 40, 3, 1000003)
 
 
 class TestRoots:
@@ -118,6 +131,15 @@ class TestCheck:
         record = json.loads(out)
         assert record["oracle_residue"] == exact_falling(n, 5) // 5 % n
         assert record["hypothesis_ok"] and record["agree"]
+
+    def test_large_k_within_two_seconds(self, capsys):
+        # alpha = 1 telescopes: S = n-falling-(k+1) / (k+1)
+        n, k = 1000000, 200000
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "check", "--n", str(n), "--k", str(k), "--alpha", "1", "--format", "json")
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert json.loads(out)["oracle_residue"] == math.perm(n, k + 1) // (k + 1) % n
 
 
 class TestScanCommand:

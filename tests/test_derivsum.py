@@ -29,12 +29,14 @@ from rootsum.derivsum import (
     _horner,
     _leibnitz_rhs,
     _period_row,
-    _sum_doubling,
+    _SHORT_ROW,
+    _split_modulus,
+    _sum_closed,
     _sum_mod,
 )
 from rootsum.falling import _falling_int
 from rootsum.harness import DROP_NONE, _scan_unit
-from oracles import brute_sum, brute_valuation, exact_falling
+from oracles import brute_sum, brute_valuation, exact_falling, sum_doubling
 
 
 def direct(n, k, alpha, m):
@@ -137,15 +139,15 @@ class TestFallingRow:
         self._assert_rows((n, k, m) for n in ROW_LENGTHS for k in ROW_DEPTHS for m in ROW_MODULI)
 
     def test_large_k_against_exact_oracle(self):
-        # the direct route at n = 3000, k = 1000, from a cold cache
+        # the row route at n = 3000, k = 1000, from a cold cache
         _falling_row.cache_clear()
-        assert direct(3000, 1000, 3, 1000003) == brute_sum(3000, 1000, 3, 1000003)
+        assert _sum_mod(3000, 1000, 3, 1000003) == brute_sum(3000, 1000, 3, 1000003)
 
     def test_larger_k_than_the_recursion_limit(self):
         # brute_sum(6000, 5000, 3, 1000003) == 848734 takes ~20 s; a chain
         # as deep as k would raise RecursionError here
         _falling_row.cache_clear()
-        assert direct(6000, 5000, 3, 1000003) == 848734
+        assert _sum_mod(6000, 5000, 3, 1000003) == 848734
 
     def test_scan_unit_builds_no_entry_as_its_own_product(self, monkeypatch):
         calls = []
@@ -254,6 +256,8 @@ class TestSumByCrt:
 
 
 class TestDoublingRoute:
+    # the closed-form route of single queries, against direct summation and
+    # the binary-doubling reference in oracles.py, which reaches n = 2**31
     def test_against_exact_oracle(self):
         rng = random.Random(1901)
         cases = [(3000, 14, -7, 1), (1, 0, -1, 1000003)]
@@ -264,30 +268,33 @@ class TestDoublingRoute:
             m = rng.choice([1, 2, 360, 1000003, 2**31, rng.randint(1, 2**31)])
             cases.append((n, k, alpha, m))
         for n, k, alpha, m in cases:
-            assert _sum_doubling(n, k, alpha, m) == brute_sum(n, k, alpha, m), (n, k, alpha, m)
+            expected = brute_sum(n, k, alpha, m)
+            assert _sum_closed(n, k, alpha, m) == sum_doubling(n, k, alpha, m) == expected, (n, k, alpha, m)
 
     def test_route_boundary(self, monkeypatch):
-        # doubling takes the fewest terms n - k above k * bit_length(n - k);
-        # one term fewer stays direct
+        # direct summation takes every non-empty row of at most _SHORT_ROW
+        # products (n - k) * (k + 1); one term more, or an empty row, is closed
         routed = []
 
         def spy(*args):
             routed.append(args)
-            return _sum_doubling(*args)
+            return _sum_closed(*args)
 
-        monkeypatch.setattr(derivsum, "_sum_doubling", spy)
-        for k, first in ((1, 3), (2, 7), (5, 26), (12, 85)):
-            for terms in (first - 1, first):
+        monkeypatch.setattr(derivsum, "_sum_closed", spy)
+        assert _SHORT_ROW == 16
+        for k, first in ((0, 17), (1, 9), (3, 5), (7, 3), (8, 2), (12, 2), (16, 1)):
+            for terms in {-1, 0, first - 1, first} - {-k - 1, -k}:
                 n = k + terms
                 for alpha, m in ((3, 1000003), (-2, 360), (n - 1, n)):
                     routed.clear()
-                    assert direct(n, k, alpha, m) == _sum_mod(n, k, alpha, m)
-                    assert routed == ([(n, k, alpha, m)] if terms == first else [])
+                    assert direct(n, k, alpha, m) == brute_sum(n, k, alpha, m)
+                    assert routed == ([(n, k, alpha, m)] if terms in (-1, 0, first) else [])
 
-    def test_large_k_stays_direct(self, monkeypatch):
-        # k * bit_length(n - k) above n - k: the k^2 cost would outgrow the row
-        monkeypatch.setattr(derivsum, "_sum_doubling", None)
-        assert direct(3000, 1000, 3, 1000003) == _sum_doubling(3000, 1000, 3, 1000003)
+    def test_large_k_takes_the_closed_form(self, monkeypatch):
+        # O(k) steps where a cold row takes (n - k) * k products
+        monkeypatch.setattr(derivsum, "_sum_mod", None)
+        assert direct(3000, 1000, 3, 1000003) == sum_doubling(3000, 1000, 3, 1000003)
+        assert direct(3000, 1000, 1, 3000) == exact_falling(3000, 1001) // 1001 % 3000
 
     @pytest.mark.parametrize("n", [2**31, 2 * 3 * 5 * 7 * 11 * 13 * 17])
     def test_closed_values_at_the_input_cap(self, n):
@@ -306,9 +313,45 @@ class TestDoublingRoute:
         for n in range(1, 301):
             for alpha in roots_of_unity(n):
                 for k in range(13):
-                    assert _sum_doubling(n, k, alpha, n) == _sum_mod(n, k, alpha, n), (n, k, alpha)
+                    assert _sum_closed(n, k, alpha, n) == _sum_mod(n, k, alpha, n), (n, k, alpha)
                     triples += 1
         assert triples == 42_835
+
+    def test_every_shape_on_a_small_grid(self):
+        # m splits as b * g: every prime of b divides alpha - 1, g is prime
+        # to it; each shape of the split is met, against direct summation
+        shapes = set()
+        for m in range(1, 49):
+            for alpha in range(-3, m + 3):
+                a = alpha % m
+                b, g = _split_modulus(m, a)
+                assert b * g == m and math.gcd(g, a - 1) == 1
+                assert all((a - 1) % p == 0 for p, _ in factorize(b))
+                shapes.update(
+                    name
+                    for name, hit in (
+                        ("b = 1", b == 1), ("g = 1", g == 1), ("b, g > 1", b > 1 and g > 1),
+                        ("a = 0", a == 0), ("a = 1", a == 1 % m), ("m = 1", m == 1),
+                        ("m = 2^j > 2", m > 2 and m & (m - 1) == 0), ("alpha < 0", alpha < 0),
+                    )
+                    if hit
+                )
+                for n in range(1, 25):
+                    for k in range(10):
+                        assert _sum_closed(n, k, alpha, m) == _sum_mod(n, k, alpha, m), (n, k, alpha, m)
+                        if n <= k:
+                            shapes.add("n <= k")
+        assert len(shapes) == 9, shapes
+
+    def test_random_triples_up_to_the_input_cap(self):
+        rng = random.Random(2031)
+        for _ in range(300):
+            k = rng.randint(0, 30)
+            n = rng.randint(1, 2**31)
+            m = rng.choice([rng.randint(1, 2**31), n, 2 ** rng.randint(0, 31), 3 ** rng.randint(0, 19)])
+            near_one = 1 + rng.randint(-99, 99) * (m // math.gcd(m, rng.randint(1, m)))
+            alpha = rng.choice([rng.randint(-(2**31), 2**31), near_one])
+            assert _sum_closed(n, k, alpha, m) == sum_doubling(n, k, alpha, m), (n, k, alpha, m)
 
     def test_documented_timing_commands_run(self):
         # the route table in sum_direct rests on these commands; each setup
@@ -321,7 +364,7 @@ class TestDoublingRoute:
     @pytest.mark.parametrize(
         "statement",
         [
-            pytest.param("_sum_doubling(1000, 12, 3, 1000003)", id="doubling"),
+            pytest.param("_sum_closed(1000, 12, 3, 1000003)", id="closed-form"),
             pytest.param("_falling_row.cache_clear(); _sum_mod(1000, 12, 3, 1000003)", id="direct-cold"),
             pytest.param("_sum_mod(1000, 12, 3, 1000003)", id="direct-warm"),
             pytest.param("predict_vanishing(300, 12, 299)", id="criterion"),
