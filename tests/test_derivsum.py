@@ -283,8 +283,10 @@ class TestDoublingRoute:
         monkeypatch.setattr(derivsum, "_sum_closed", spy)
         assert _SHORT_ROW == 16
         for k, first in ((0, 17), (1, 9), (3, 5), (7, 3), (8, 2), (12, 2), (16, 1)):
-            for terms in {-1, 0, first - 1, first} - {-k - 1, -k}:
+            for terms in {-1, 0, first - 1, first}:
                 n = k + terms
+                if n < 1:
+                    continue
                 for alpha, m in ((3, 1000003), (-2, 360), (n - 1, n)):
                     routed.clear()
                     assert direct(n, k, alpha, m) == brute_sum(n, k, alpha, m)
@@ -341,7 +343,9 @@ class TestDoublingRoute:
                         assert _sum_closed(n, k, alpha, m) == _sum_mod(n, k, alpha, m), (n, k, alpha, m)
                         if n <= k:
                             shapes.add("n <= k")
-        assert len(shapes) == 9, shapes
+        assert shapes == {
+            "b = 1", "g = 1", "b, g > 1", "a = 0", "a = 1", "m = 1", "m = 2^j > 2", "alpha < 0", "n <= k"
+        }
 
     def test_random_triples_up_to_the_input_cap(self):
         rng = random.Random(2031)
