@@ -21,7 +21,9 @@ per unit of k.  check --n 1000000 --k 200000 --alpha 1 and eval --n
 2147483647 --k 3000 each take 0.16 s, interpreter start included, and
 k = 2**22 takes 1.8 s, so a k near the 2**31 cap would take about 15
 minutes (extrapolated, not run).  A sum with n <= k is empty and costs
-nothing.  scan and hunt grow with the range they are given.
+nothing.  scan and hunt take time that grows with the range they are
+given, and memory that grows with what they report (mismatches, lemma
+failures, hunt records), not with the range: they fold one n at a time.
 """
 
 from __future__ import annotations

@@ -8,8 +8,11 @@ dropped, to surface the cases proving the hypothesis necessary.
 
 Both scan() and hunt_weakened() run one per-n unit, _scan_unit(): it
 enumerates the roots of unity mod n once and checks every k against each
-root.  Units are independent, so scan() can spread them over worker
-processes and the merged report is identical regardless of worker count.
+root.  One generator, _units(), runs the units for n = 1..max_n and yields
+them in n order, and both callers fold them into their output as they
+arrive, so memory grows with what is reported, not with the range.  Units
+are independent, so scan() can spread them over worker processes and the
+report is identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Collection, Optional
+from functools import partial
+from typing import Collection, Iterator, Optional
 
 from .criterion import predict_vanishing, roots_of_unity
 from .derivsum import (
@@ -46,6 +50,10 @@ DROP_CLAUSE_B = "clause-b"
 DROP_NONE = "none"
 
 _DROP_LABELS = (DROP_CLAUSE_C_ALPHA, DROP_CLAUSE_B, DROP_NONE)
+
+# values of n per Pool.imap task: imap builds each task as a tuple of this
+# many arguments, so a fixed size keeps every task small whatever max_n is
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -203,38 +211,47 @@ def _scan_unit(
     return len(roots), mismatches, failures
 
 
+def _units(
+    max_n: int, max_k: int, drop: str, check_lemmas: bool, jobs: int
+) -> Iterator[tuple[int, list[MismatchRecord], list[str]]]:
+    """_scan_unit(n, max_k, drop, check_lemmas) for n = 1..max_n, in n order.
+
+    One job runs the units here, one at a time.  More jobs hand them to a
+    process pool in tasks of _CHUNK values of n.  Pool.imap keeps input
+    order, and it builds tasks only as far ahead as its pipe to the workers
+    holds, so neither the arguments nor the results of the whole range are
+    ever held at once.
+    """
+    unit = partial(_scan_unit, max_k=max_k, drop=drop, check_lemmas=check_lemmas)
+    if jobs == 1:
+        yield from map(unit, range(1, max_n + 1))
+    else:
+        import multiprocessing  # 10 ms of import, paid only by a parallel scan
+
+        with multiprocessing.Pool(jobs) as pool:
+            yield from pool.imap(unit, range(1, max_n + 1), chunksize=_CHUNK)
+
+
 def scan(cfg: ScanConfig) -> ScanReport:
     """Compare criterion and oracle on every triple up to (max_n, max_k).
 
     The report content is deterministic for a fixed config regardless of
-    parallelism, and mismatches come in (n, k, alpha) order: units are
-    merged in n order (Pool.starmap keeps its input order), and each unit
-    emits k outermost and roots ascending.  Mismatches are data, not errors.
+    parallelism, and mismatches come in (n, k, alpha) order: _units yields
+    the per-n units in n order, and each unit emits k outermost and roots
+    ascending.  Units are folded into the report as they arrive, so memory
+    grows with the mismatches and lemma failures reported, not with max_n.
+    Mismatches are data, not errors.
     """
     t0 = time.perf_counter()
-    args = [(n, cfg.max_k, DROP_NONE, cfg.check_lemmas) for n in range(1, cfg.max_n + 1)]
-    if cfg.parallelism == 1:
-        units = [_scan_unit(*a) for a in args]
-    else:
-        import multiprocessing  # 10 ms of import, paid only by a parallel scan
-
-        chunk = max(1, len(args) // (cfg.parallelism * 8))
-        with multiprocessing.Pool(cfg.parallelism) as pool:
-            units = pool.starmap(_scan_unit, args, chunksize=chunk)
-    mismatches: list[MismatchRecord] = []
-    lemma_failures: list[str] = []
-    roots_total = 0
+    report = ScanReport(cases_checked=0, roots_enumerated=0, mismatches=[])
+    units = _units(cfg.max_n, cfg.max_k, DROP_NONE, cfg.check_lemmas, cfg.parallelism)
     for n_roots, unit_mismatches, unit_failures in units:
-        roots_total += n_roots
-        mismatches.extend(unit_mismatches)
-        lemma_failures.extend(unit_failures)
-    return ScanReport(
-        cases_checked=roots_total * (cfg.max_k + 1),
-        roots_enumerated=roots_total,
-        mismatches=mismatches,
-        lemma_failures=lemma_failures,
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+        report.roots_enumerated += n_roots
+        report.mismatches.extend(unit_mismatches)
+        report.lemma_failures.extend(unit_failures)
+    report.cases_checked = report.roots_enumerated * (cfg.max_k + 1)
+    report.elapsed_seconds = time.perf_counter() - t0
+    return report
 
 
 def _weakened_clauses(n: int, k: int, alpha: int, drop: str) -> tuple[bool, Collection[str]]:
@@ -269,7 +286,4 @@ def hunt_weakened(max_n: int, max_k: int, drop: Optional[str]) -> list[MismatchR
         raise ValueError(f"unknown drop label {drop!r}; expected one of {_DROP_LABELS}")
     if max_n < 0 or max_k < 0:
         raise ValueError("hunt_weakened requires max_n >= 0 and max_k >= 0")
-    records: list[MismatchRecord] = []
-    for n in range(1, max_n + 1):
-        records.extend(_scan_unit(n, max_k, drop, False)[1])
-    return records
+    return [r for _, unit, _ in _units(max_n, max_k, drop, False, 1) for r in unit]

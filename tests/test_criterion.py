@@ -58,6 +58,17 @@ class TestPredictVanishing:
                     assert v.vanishes_predicted == bool(v.clauses)
                     assert len(v.clauses) <= 1  # the clauses partition on k+1
 
+    def test_every_criterion_predicts_vanishing_on_empty_sums(self):
+        # for k >= n the sum has no terms, so it vanishes; alpha = 1 is a
+        # root of every n and cannot take clause c's alpha escape, and
+        # q = k + 1 > n cannot divide n, so a clause must fire all the same
+        from rootsum.harness import _DROP_LABELS, _weakened_clauses
+
+        for n in range(1, 301):
+            for k in range(n, n + 301):
+                for drop in _DROP_LABELS:
+                    assert _weakened_clauses(n, k, 1, drop)[0], (n, k, drop)
+
     def test_clause_a_depends_only_on_k(self):
         for k in (5, 7, 8, 9, 11, 13, 14):  # k+1 in {6, 8, 9, 10, 12, 14, 15}
             assert predict_vanishing(3, k, 2).clauses == frozenset({"a"})

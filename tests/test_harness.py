@@ -36,13 +36,35 @@ class TestScan:
         assert report.roots_enumerated == expected_roots
         assert report.cases_checked == expected_roots * (max_k + 1)
 
-    def test_parallel_report_matches_serial(self):
-        serial = scan(ScanConfig(max_n=40, max_k=6, parallelism=1))
-        parallel = scan(ScanConfig(max_n=40, max_k=6, parallelism=4))
+    @pytest.mark.parametrize(
+        "max_n, max_k, jobs, check_lemmas",
+        [(40, 6, 4, False), (60, 8, 2, True), (3, 2, 4, False)],
+        ids=["plain", "check-lemmas", "more-jobs-than-n"],
+    )
+    def test_parallel_report_matches_serial(self, max_n, max_k, jobs, check_lemmas):
+        serial = scan(ScanConfig(max_n, max_k, parallelism=1, check_lemmas=check_lemmas))
+        parallel = scan(ScanConfig(max_n, max_k, parallelism=jobs, check_lemmas=check_lemmas))
         assert serial.mismatches == parallel.mismatches
         assert serial.cases_checked == parallel.cases_checked
         assert serial.roots_enumerated == parallel.roots_enumerated
         assert serial.lemma_failures == parallel.lemma_failures
+
+    def test_bookkeeping_memory_is_bounded_by_the_output(self, monkeypatch):
+        # with a unit that reports nothing, what scan and hunt keep per n is
+        # all that is left; it must not grow with max_n
+        import tracemalloc
+
+        monkeypatch.setattr(harness, "_scan_unit", lambda n, max_k, drop, check_lemmas: (1, [], []))
+        tracemalloc.start()
+        try:
+            report = scan(ScanConfig(max_n=100_000, max_k=12))
+            records = hunt_weakened(100_000, 12, DROP_CLAUSE_B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.cases_checked == 1_300_000 and report.clean
+        assert records == []
+        assert peak < 1_000_000
 
     def test_inline_lemma_suites_pass(self):
         report = scan(ScanConfig(max_n=30, max_k=4, check_lemmas=True))
