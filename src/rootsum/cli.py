@@ -3,7 +3,9 @@
 Subcommands: eval (one sum), roots (enumerate roots of unity), check
 (criterion vs. oracle for one case), scan (exhaustive range verification),
 hunt (counterexamples for weakened criteria).  Output is plain text by
-default; --format json/csv select machine formats.
+default; --format json/csv select machine formats.  A CSV row is a JSON
+record's fields in order, with clause lists joined and check's nested
+witness left out.
 
 Machine output is deterministic: timing is excluded from JSON unless
 --timing is given (CSV never carries it), so identical configs produce
@@ -21,9 +23,13 @@ per unit of k.  check --n 1000000 --k 200000 --alpha 1 and eval --n
 2147483647 --k 3000 each take 0.16 s, interpreter start included, and
 k = 2**22 takes 1.8 s, so a k near the 2**31 cap would take about 15
 minutes (extrapolated, not run).  A sum with n <= k is empty and costs
-nothing.  scan and hunt take time that grows with the range they are
-given, and memory that grows with what they report (mismatches, lemma
-failures, hunt records), not with the range: they fold one n at a time.
+nothing.  scan and hunt take time that grows with max_n and with
+min(max_k, n - 1), not with max_k: every k >= n is an empty sum that
+every criterion predicts vanishes, so it is settled by that argument,
+not summed, and still counted in cases (scan --max-n 2 --max-k
+2147483647 reports 4294967296 cases in 0.1 s).  Their memory grows with
+what they report (mismatches, lemma failures, hunt records), not with
+the range: they fold one n at a time.
 """
 
 from __future__ import annotations
@@ -32,17 +38,14 @@ import argparse
 import csv
 import json
 import sys
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .criterion import Explanation, _root_count, explain, roots_of_unity
+from .criterion import _root_count, explain, roots_of_unity
 from .derivsum import SumQuery, sum_direct
 from .harness import (
-    DROP_CLAUSE_B,
-    DROP_CLAUSE_C_ALPHA,
-    DROP_NONE,
+    _DROP_LABELS,
     MismatchRecord,
     ScanConfig,
-    ScanReport,
     hunt_weakened,
     scan,
 )
@@ -130,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt = sub.add_parser("hunt", help="drop one hypothesis and hunt for counterexamples")
     p_hunt.add_argument(
         "--drop",
-        choices=(DROP_CLAUSE_C_ALPHA, DROP_CLAUSE_B, DROP_NONE),
+        choices=_DROP_LABELS,
         required=True,
         help="which hypothesis to weaken",
     )
@@ -141,18 +144,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _emit(
+    args,
+    payload: dict,
+    records: Callable[[], Iterable[dict]],
+    lines: Callable[[], Iterable[str]],
+    header: Optional[list[str]] = None,
+) -> None:
+    """Print the rendering that --format asks for, and build only that one.
 
-
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _clauses_field(clauses) -> str:
-    return "".join(sorted(clauses))
+    json prints payload.  csv prints the JSON records that records() gives
+    as a table: each row is a record's fields in order, with clause lists
+    joined and nested dicts (check's witness) left out.  Its header is
+    header, or the first record's own fields when header is None, which
+    only a table that is never empty may use.  plain prints the lines that
+    lines() gives.
+    """
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    elif args.format == "csv":
+        rows = [
+            {key: "".join(value) if isinstance(value, list) else value
+             for key, value in record.items() if not isinstance(value, dict)}
+            for record in records()
+        ]
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header or rows[0].keys())
+        writer.writerows(row.values() for row in rows)
+    else:
+        print(*lines(), sep="\n")
 
 
 def _witness_text(witness: dict) -> str:
@@ -170,20 +190,6 @@ def _witness_text(witness: dict) -> str:
     return f"k+1 = {q} is neither 4 nor prime"
 
 
-def _explain_dict(e: Explanation) -> dict:
-    return {
-        "n": e.n,
-        "k": e.k,
-        "alpha": e.alpha,
-        "predicted": e.verdict.vanishes_predicted,
-        "clauses": sorted(e.verdict.clauses),
-        "witness": e.verdict.witness,
-        "oracle_residue": e.oracle_residue,
-        "hypothesis_ok": e.hypothesis_ok,
-        "agree": e.agree,
-    }
-
-
 def _mismatch_dict(r: MismatchRecord) -> dict:
     return {
         "n": r.n,
@@ -196,11 +202,16 @@ def _mismatch_dict(r: MismatchRecord) -> dict:
     }
 
 
-def _mismatch_row(r: MismatchRecord) -> list:
-    return [r.n, r.k, r.alpha, _clauses_field(r.clauses), r.predicted, r.oracle_residue, False]
-
-
 _MISMATCH_HEADER = ["n", "k", "alpha", "clauses", "predicted", "oracle_residue", "agree"]
+
+
+def _mismatch_text(r: MismatchRecord, predicted: str) -> str:
+    """One plain line of a mismatch table; predicted labels the verdict."""
+    clauses = "".join(sorted(r.clauses)) or "-"
+    return (
+        f"n={r.n} k={r.k} alpha={r.alpha} {predicted}={r.predicted} "
+        f"oracle_residue={r.oracle_residue} clauses={clauses}"
+    )
 
 
 def _cmd_eval(args) -> int:
@@ -208,12 +219,10 @@ def _cmd_eval(args) -> int:
     k = _check_cap("k", args.k)
     m = _check_cap("modulus", args.modulus, minimum=1)
     residue = sum_direct(SumQuery(n=n, k=k, alpha=args.alpha, modulus=m)).value
-    if args.format == "json":
-        _emit_json({"n": n, "k": k, "alpha": args.alpha, "modulus": m, "residue": residue})
-    elif args.format == "csv":
-        _emit_csv(["n", "k", "alpha", "modulus", "residue"], [[n, k, args.alpha, m, residue]])
-    else:
-        print(f"S({n}, {k}, {args.alpha}) mod {m} = {residue}")
+    record = {"n": n, "k": k, "alpha": args.alpha, "modulus": m, "residue": residue}
+    _emit(
+        args, record, lambda: [record], lambda: [f"S({n}, {k}, {args.alpha}) mod {m} = {residue}"]
+    )
     return EXIT_OK
 
 
@@ -223,13 +232,13 @@ def _cmd_roots(args) -> int:
     if count > MAX_ROOTS:
         raise UsageError(f"n = {n} has {count} roots of unity; roots lists at most {MAX_ROOTS}")
     rs = roots_of_unity(n)
-    if args.format == "json":
-        _emit_json({"n": n, "count": len(rs), "roots": list(rs)})
-    elif args.format == "csv":
-        _emit_csv(["alpha"], [[a] for a in rs])
-    else:
+
+    def plain() -> Iterator[str]:
         listing = " ".join(str(a) for a in rs)
-        print(f"{len(rs)} roots of unity modulo {n}: {listing}")
+        yield f"{len(rs)} roots of unity modulo {n}: {listing}"
+
+    payload = {"n": n, "count": len(rs), "roots": rs}
+    _emit(args, payload, lambda: ({"alpha": a} for a in rs), plain, ["alpha"])
     return EXIT_OK
 
 
@@ -237,37 +246,31 @@ def _cmd_check(args) -> int:
     n = _check_cap("n", args.n, minimum=1)
     k = _check_cap("k", args.k)
     e = explain(n, k, args.alpha)
-    if args.format == "json":
-        _emit_json(_explain_dict(e))
-    elif args.format == "csv":
-        _emit_csv(
-            ["n", "k", "alpha", "predicted", "clauses", "oracle_residue", "hypothesis_ok", "agree"],
-            [[e.n, e.k, e.alpha, e.verdict.vanishes_predicted, _clauses_field(e.verdict.clauses),
-              e.oracle_residue, e.hypothesis_ok, e.agree]],
-        )
-    else:
-        v = e.verdict
-        print(f"S({n}, {k}, {args.alpha}) mod {n} = {e.oracle_residue}")
-        status = "holds" if e.hypothesis_ok else "VIOLATED (criterion makes no claim)"
-        print(f"hypothesis alpha^n == 1 (mod n): {status}")
-        label = "vanishes" if v.vanishes_predicted else "does not vanish"
-        clauses = "{" + ", ".join(sorted(v.clauses)) + "}"
-        print(f"predicted: {label}; clauses: {clauses}")
-        print(f"witness: {_witness_text(v.witness)}")
-        print(f"prediction agrees with oracle: {'yes' if e.agree else 'NO'}")
-    return EXIT_OK
-
-
-def _scan_dict(report: ScanReport, timing: bool) -> dict:
-    out = {
-        "cases": report.cases_checked,
-        "roots": report.roots_enumerated,
-        "mismatches": [_mismatch_dict(r) for r in report.mismatches],
-        "lemma_failures": list(report.lemma_failures),
+    v = e.verdict
+    record = {
+        "n": e.n,
+        "k": e.k,
+        "alpha": e.alpha,
+        "predicted": v.vanishes_predicted,
+        "clauses": sorted(v.clauses),
+        "witness": v.witness,
+        "oracle_residue": e.oracle_residue,
+        "hypothesis_ok": e.hypothesis_ok,
+        "agree": e.agree,
     }
-    if timing:
-        out["elapsed_ms"] = round(report.elapsed_seconds * 1000)
-    return out
+
+    def plain() -> Iterator[str]:
+        yield f"S({n}, {k}, {args.alpha}) mod {n} = {e.oracle_residue}"
+        status = "holds" if e.hypothesis_ok else "VIOLATED (criterion makes no claim)"
+        yield f"hypothesis alpha^n == 1 (mod n): {status}"
+        label = "vanishes" if v.vanishes_predicted else "does not vanish"
+        clauses = "{" + ", ".join(record["clauses"]) + "}"
+        yield f"predicted: {label}; clauses: {clauses}"
+        yield f"witness: {_witness_text(v.witness)}"
+        yield f"prediction agrees with oracle: {'yes' if e.agree else 'NO'}"
+
+    _emit(args, record, lambda: [record], plain)
+    return EXIT_OK
 
 
 def _cmd_scan(args) -> int:
@@ -281,45 +284,44 @@ def _cmd_scan(args) -> int:
         max_n=max_n, max_k=max_k, parallelism=args.jobs, check_lemmas=args.check_lemmas
     )
     report = scan(cfg)
-    if args.format == "json":
-        _emit_json(_scan_dict(report, args.timing))
-    elif args.format == "csv":
-        _emit_csv(_MISMATCH_HEADER, [_mismatch_row(r) for r in report.mismatches])
-    else:
-        print(f"scan: max_n={max_n} max_k={max_k} jobs={args.jobs}")
-        print(f"cases checked: {report.cases_checked} ({report.roots_enumerated} roots enumerated)")
+    payload = {
+        "cases": report.cases_checked,
+        "roots": report.roots_enumerated,
+        "mismatches": [_mismatch_dict(r) for r in report.mismatches],
+        "lemma_failures": list(report.lemma_failures),
+    }
+    if args.timing:
+        payload["elapsed_ms"] = round(report.elapsed_seconds * 1000)
+
+    def plain() -> Iterator[str]:
+        yield f"scan: max_n={max_n} max_k={max_k} jobs={args.jobs}"
+        yield f"cases checked: {report.cases_checked} ({report.roots_enumerated} roots enumerated)"
         for r in report.mismatches:
-            print(
-                f"MISMATCH n={r.n} k={r.k} alpha={r.alpha} predicted={r.predicted} "
-                f"oracle_residue={r.oracle_residue} clauses={_clauses_field(r.clauses) or '-'}"
-            )
+            yield "MISMATCH " + _mismatch_text(r, "predicted")
         for f in report.lemma_failures:
-            print(f"LEMMA FAILURE: {f}")
-        print(f"mismatches: {len(report.mismatches)}  lemma failures: {len(report.lemma_failures)}")
-        print(f"elapsed: {report.elapsed_seconds:.2f} s")
+            yield f"LEMMA FAILURE: {f}"
+        yield f"mismatches: {len(report.mismatches)}  lemma failures: {len(report.lemma_failures)}"
+        yield f"elapsed: {report.elapsed_seconds:.2f} s"
         if report.clean:
-            print("ok: prediction matched the oracle on every case")
+            yield "ok: prediction matched the oracle on every case"
+
+    _emit(args, payload, lambda: payload["mismatches"], plain, _MISMATCH_HEADER)
     return EXIT_OK if report.clean else EXIT_MISMATCH
 
 
 def _cmd_hunt(args) -> int:
     max_n = _check_cap("max-n", args.max_n, minimum=1)
     max_k = _check_cap("max-k", args.max_k)
-    records = hunt_weakened(max_n, max_k, args.drop)
-    if args.format == "json":
-        _emit_json(
-            {"drop": args.drop, "records": [_mismatch_dict(r) for r in records]}
-        )
-    elif args.format == "csv":
-        _emit_csv(_MISMATCH_HEADER, [_mismatch_row(r) for r in records])
-    else:
-        print(f"hunt: drop={args.drop} max_n={max_n} max_k={max_k}")
-        for r in records:
-            print(
-                f"n={r.n} k={r.k} alpha={r.alpha} weakened_predicted={r.predicted} "
-                f"oracle_residue={r.oracle_residue} clauses={_clauses_field(r.clauses) or '-'}"
-            )
-        print(f"{len(records)} case(s) where the weakened criterion fails")
+    found = hunt_weakened(max_n, max_k, args.drop)
+    payload = {"drop": args.drop, "records": [_mismatch_dict(r) for r in found]}
+
+    def plain() -> Iterator[str]:
+        yield f"hunt: drop={args.drop} max_n={max_n} max_k={max_k}"
+        for r in found:
+            yield _mismatch_text(r, "weakened_predicted")
+        yield f"{len(found)} case(s) where the weakened criterion fails"
+
+    _emit(args, payload, lambda: payload["records"], plain, _MISMATCH_HEADER)
     return EXIT_OK
 
 

@@ -185,10 +185,20 @@ def _scan_unit(
     drop selects the criterion as in hunt_weakened; DROP_NONE is the full one.
     Every clause, weakened or not, reads alpha only through alpha mod (k+1),
     so each verdict is decided once per (k, alpha mod (k+1)).
+
+    Every k >= n is settled by argument and neither summed nor checked: the
+    sum is empty, so it is 0, and every criterion, full or weakened,
+    predicts vanishing (k+1 = 4 > n cannot divide n, nor can a prime
+    k+1 > n).  Each lemma check is vacuous there too: the valuation of
+    (n-1)-falling-k is infinite, the telescoping and near-unity rows are
+    empty with (n-1)-falling-k = 0, and both Leibnitz sides are 0.  So the
+    loops stop at k = min(max_k, n - 1), while scan still counts those
+    cases in cases_checked.
     """
+    top = min(max_k, n - 1)
     roots = roots_of_unity(n)
     mismatches: list[MismatchRecord] = []
-    for k in range(max_k + 1):
+    for k in range(top + 1):
         verdicts: dict[int, tuple[bool, Collection[str]]] = {}
         for alpha in roots:
             verdict = verdicts.get(alpha % (k + 1))
@@ -207,7 +217,7 @@ def _scan_unit(
                         oracle_residue=residue,
                     )
                 )
-    failures = _lemma_checks(n, max_k) if check_lemmas else []
+    failures = _lemma_checks(n, top) if check_lemmas else []
     return len(roots), mismatches, failures
 
 

@@ -215,6 +215,26 @@ class TestHuntCommand:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("scan --max-n 2 --max-k 2147483647",
+         {"cases": 2 * 2**31, "roots": 2, "mismatches": [], "lemma_failures": []}),
+        ("scan --max-n 2 --max-k 2147483647 --check-lemmas",
+         {"cases": 2 * 2**31, "roots": 2, "mismatches": [], "lemma_failures": []}),
+        ("hunt --drop clause-b --max-n 2 --max-k 2147483647", {"drop": "clause-b", "records": []}),
+    ],
+)
+def test_k_at_the_cap_is_settled_by_argument(capsys, command, expected):
+    # every k >= n is an empty sum that every criterion predicts vanishes,
+    # so the range past n - 1 costs nothing, yet still counts as cases
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *command.split(), "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert json.loads(out) == expected
+
+
 class TestUsageErrors:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as err:
