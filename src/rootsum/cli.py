@@ -27,9 +27,9 @@ nothing.  scan and hunt take time that grows with max_n and with
 min(max_k, n - 1), not with max_k: every k >= n is an empty sum that
 every criterion predicts vanishes, so it is settled by that argument,
 not summed, and still counted in cases (scan --max-n 2 --max-k
-2147483647 reports 4294967296 cases in 0.1 s).  Their memory grows with
-what they report (mismatches, lemma failures, hunt records), not with
-the range: they fold one n at a time.
+2147483647 reports 4294967296 cases in 0.1 s on a 2-vCPU VM).  Their
+memory grows with what they report (mismatches, lemma failures, hunt
+records), not with the range: they fold one n at a time.
 """
 
 from __future__ import annotations
