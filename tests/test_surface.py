@@ -82,6 +82,27 @@ def test_cli_output_bytes_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
 
 
+# sha256 of the --help text at COLUMNS=80, the same on Python 3.10 to 3.12
+HELP_PINNED = {
+    "": "8d37a53a2ebe1dfe851c1954796c33cfaca2b0cc8bbe4d0ffc0681057e262701",
+    "eval": "0d04e88c4c74c0d29bbefe030badc0f8aea0368f950508df21153d6fafa20867",
+    "roots": "404650bc1b77b4ca455f70bfeb59f62bd7768200b9135e45ab0841db0e46024f",
+    "check": "fc4d93762c3565985e8f5870edd711ddee122bd8fe16b24a560b4b1f39c5e4ad",
+    "scan": "c6b7c4ef0a66cf37365e94a48175e60cd50efd92186ca32942c275c6d1a60d80",
+    "hunt": "a75dbf4533cc2d966d37613d75445763561a443c09ebc8b7c288a09039488556",
+}
+
+
+@pytest.mark.parametrize("command", HELP_PINNED)
+def test_help_bytes_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command.split(), "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_PINNED[command]
+
+
 # A report no clean range produces: the MISMATCH and LEMMA FAILURE lines.
 # Its elapsed_seconds is 0.0, so even the plain bytes are stable.
 FAKE_REPORT = ScanReport(
