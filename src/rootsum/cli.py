@@ -38,6 +38,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from typing import Callable, Iterable, Iterator, Optional
 
 from .criterion import _root_count, explain, roots_of_unity
@@ -111,15 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_check)
 
     p_scan = sub.add_parser("scan", help="verify the criterion on a whole range")
-    p_scan.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p_scan.add_argument("--max-k", type=int, required=True, dest="max_k")
+    p_scan.add_argument("--max-n", type=int, required=True)
+    p_scan.add_argument("--max-k", type=int, required=True)
     p_scan.add_argument(
         "--jobs", type=int, default=1, help=f"worker processes, at most {MAX_JOBS} (default 1)"
     )
     p_scan.add_argument(
         "--check-lemmas",
         action="store_true",
-        dest="check_lemmas",
         help="also re-verify the supporting identities and congruences inline",
     )
     p_scan.add_argument(
@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="which hypothesis to weaken",
     )
-    p_hunt.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p_hunt.add_argument("--max-k", type=int, required=True, dest="max_k")
+    p_hunt.add_argument("--max-n", type=int, required=True)
+    p_hunt.add_argument("--max-k", type=int, required=True)
     add_format(p_hunt)
 
     return parser
@@ -191,18 +191,11 @@ def _witness_text(witness: dict) -> str:
 
 
 def _mismatch_dict(r: MismatchRecord) -> dict:
-    return {
-        "n": r.n,
-        "k": r.k,
-        "alpha": r.alpha,
-        "clauses": list(r.clauses),
-        "predicted": r.predicted,
-        "oracle_residue": r.oracle_residue,
-        "agree": False,
-    }
+    # the record's fields in order, its clauses as a list, and agree
+    return dict(vars(r), clauses=list(r.clauses), agree=False)
 
 
-_MISMATCH_HEADER = ["n", "k", "alpha", "clauses", "predicted", "oracle_residue", "agree"]
+_MISMATCH_HEADER = [*(f.name for f in fields(MismatchRecord)), "agree"]
 
 
 def _mismatch_text(r: MismatchRecord, predicted: str) -> str:

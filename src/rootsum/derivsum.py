@@ -79,7 +79,6 @@ def _falling_row(n: int, k: int, m: int) -> tuple[int, ...]:
     return tuple(i * r % m for i, r in zip(range(k, n), _falling_row(n, k - 1, m)))
 
 
-@lru_cache(maxsize=256)
 def _period_row(n: int, k: int, m: int, period: int) -> tuple[int, ...]:
     # c_r with S(n, k, alpha) == sum of c_r * alpha^r (mod m) whenever
     # alpha^period == 1 (mod m).  i-falling-k mod m has period m in i and
@@ -328,8 +327,8 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
 
     S is evaluated mod m = p^(l+e) as a polynomial in alpha of degree below
     m/p: every alpha == 1 (mod p) has alpha^(m/p) == 1 (mod m), so the n - k
-    terms fold into at most m/p period sums, memoized per (n, k, m), and
-    each call is one Horner pass over those.  The modulus, the period sums
+    terms fold into at most m/p period sums, and each call is one Horner
+    pass over those.  The modulus, the period sums
     and the right side come from _near_unity_sides, which the
     --check-lemmas loop also reads, once per (p, k).
     """

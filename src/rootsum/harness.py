@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Collection, Iterator, Optional
+from typing import Collection, Iterator
 
 from .criterion import predict_vanishing, roots_of_unity
 from .derivsum import (
@@ -279,19 +279,17 @@ def _weakened_clauses(n: int, k: int, alpha: int, drop: str) -> tuple[bool, Coll
     return bool(clauses), clauses
 
 
-def hunt_weakened(max_n: int, max_k: int, drop: Optional[str]) -> list[MismatchRecord]:
+def hunt_weakened(max_n: int, max_k: int, drop: str) -> list[MismatchRecord]:
     """Scan for disagreements after dropping one clause hypothesis.
 
     drop is "clause-c-alpha" (clause c keeps only its divisibility
-    disjunct), "clause-b" (clause b fires for every n), or "none"/None
-    (full criterion; over root-of-unity inputs this finds nothing).  Every
+    disjunct), "clause-b" (clause b fires for every n), or "none" (full
+    criterion; over root-of-unity inputs this finds nothing).  Every
     record returned is a case where the weakened criterion gets the oracle
     wrong, demonstrating that the dropped hypothesis carries weight.
     Records come in (n, k, alpha) order, as units run in n order and each
     emits k outermost and roots ascending.
     """
-    if drop is None:
-        drop = DROP_NONE
     if drop not in _DROP_LABELS:
         raise ValueError(f"unknown drop label {drop!r}; expected one of {_DROP_LABELS}")
     if max_n < 0 or max_k < 0:

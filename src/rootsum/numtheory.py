@@ -56,9 +56,6 @@ class Residue:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         object.__setattr__(self, "value", self.value % self.modulus)
 
-    def __int__(self) -> int:
-        return self.value
-
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test: trial division through factorize."""

@@ -234,7 +234,6 @@ class TestHuntWeakened:
 
     def test_no_drop_finds_nothing(self):
         assert hunt_weakened(40, 6, DROP_NONE) == []
-        assert hunt_weakened(40, 6, None) == []
 
     def test_empty_range(self):
         assert hunt_weakened(0, 3, DROP_CLAUSE_B) == []
