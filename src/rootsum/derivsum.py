@@ -328,9 +328,9 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
     S is evaluated mod m = p^(l+e) as a polynomial in alpha of degree below
     m/p: every alpha == 1 (mod p) has alpha^(m/p) == 1 (mod m), so the n - k
     terms fold into at most m/p period sums, and each call is one Horner
-    pass over those.  The modulus, the period sums
-    and the right side come from _near_unity_sides, which the
-    --check-lemmas loop also reads, once per (p, k).
+    pass over those.  The modulus, the period sums and the right side come
+    from _near_unity_sides, which the --check-lemmas loop also reads, once
+    per (p, k).
     """
     if n < 1 or k < 0:
         raise ValueError("closed_form_congruence requires n >= 1 and k >= 0")

@@ -10,8 +10,10 @@ Both scan() and hunt_weakened() run one per-n unit, _scan_unit(): it
 enumerates the roots of unity mod n once and checks every k against each
 root.  One generator, _units(), runs the units for n = 1..max_n and yields
 them in n order, and both callers fold them into their output as they
-arrive, so memory grows with what is reported, not with the range.  Units
-are independent, so scan() can spread them over worker processes and the
+arrive, so no unit is held after it is folded: memory is what is
+reported plus the memo of falling-factorial rows, up to 256 rows of up
+to n entries each per process (derivsum._falling_row).  Units are
+independent, so scan() can spread them over worker processes and the
 report is identical regardless of worker count.
 """
 
@@ -248,9 +250,8 @@ def scan(cfg: ScanConfig) -> ScanReport:
     The report content is deterministic for a fixed config regardless of
     parallelism, and mismatches come in (n, k, alpha) order: _units yields
     the per-n units in n order, and each unit emits k outermost and roots
-    ascending.  Units are folded into the report as they arrive, so memory
-    grows with the mismatches and lemma failures reported, not with max_n.
-    Mismatches are data, not errors.
+    ascending.  Units are folded into the report as they arrive, so no unit
+    is held after it is folded.  Mismatches are data, not errors.
     """
     t0 = time.perf_counter()
     report = ScanReport(cases_checked=0, roots_enumerated=0, mismatches=[])
