@@ -53,7 +53,7 @@ from .harness import (
     scan,
 )
 
-__all__ = ["main", "build_parser", "UsageError", "MAX_INPUT", "MAX_JOBS", "MAX_ROOTS"]
+__all__ = ["main", "build_parsers", "UsageError", "MAX_INPUT", "MAX_JOBS", "MAX_ROOTS"]
 
 MAX_INPUT = 2**31
 MAX_JOBS = 64
@@ -76,7 +76,13 @@ def _check_cap(name: str, value: int, minimum: int = 0) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name.
+
+    A subcommand's parser is the one the top-level parser hands the rest of
+    argv to, so either route reads the same options.  Each sets its
+    handler as the default ``run``.
+    """
     parser = argparse.ArgumentParser(
         prog="rootsum",
         description=(
@@ -100,18 +106,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--alpha", type=int, required=True)
     p_eval.add_argument("--modulus", type=int, required=True)
     add_format(p_eval)
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_roots = sub.add_parser(
         "roots", help=f"enumerate n-th roots of unity mod n (at most {MAX_ROOTS} of them)"
     )
     p_roots.add_argument("--n", type=int, required=True)
     add_format(p_roots)
+    p_roots.set_defaults(run=_cmd_roots)
 
     p_check = sub.add_parser("check", help="criterion vs. oracle for one (n, k, alpha)")
     p_check.add_argument("--n", type=int, required=True)
     p_check.add_argument("--k", type=int, required=True)
     p_check.add_argument("--alpha", type=int, required=True)
     add_format(p_check)
+    p_check.set_defaults(run=_cmd_check)
 
     p_scan = sub.add_parser("scan", help="verify the criterion on a whole range")
     p_scan.add_argument("--max-n", type=int, required=True)
@@ -131,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "machine output is byte-stable)",
     )
     add_format(p_scan)
+    p_scan.set_defaults(run=_cmd_scan)
 
     p_hunt = sub.add_parser("hunt", help="drop one hypothesis and hunt for counterexamples")
     p_hunt.add_argument(
@@ -142,8 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--max-n", type=int, required=True)
     p_hunt.add_argument("--max-k", type=int, required=True)
     add_format(p_hunt)
+    p_hunt.set_defaults(run=_cmd_hunt)
 
-    return parser
+    return parser, sub.choices
 
 
 def _emit(
@@ -320,26 +331,27 @@ def _cmd_hunt(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "roots": _cmd_roots,
-    "check": _cmd_check,
-    "scan": _cmd_scan,
-    "hunt": _cmd_hunt,
-}
-
-
-# built on the first call to main and reused: parse_args leaves it unchanged
-_parser: Optional[argparse.ArgumentParser] = None
+# built on the first call to main and reused: parsing leaves them unchanged.
+# When argv starts with a subcommand, main parses the rest of argv with that
+# subcommand's parser alone.  The top-level parser runs only when argv does
+# not start with a subcommand, or when the subcommand's parser leaves
+# arguments over; it then prints the help or usage error it always did
+# ("rootsum: error: unrecognized arguments: ...").
+_parsers: Optional[tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]] = None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    global _parsers
+    if _parsers is None:
+        _parsers = build_parsers()
+    parser, commands = _parsers
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

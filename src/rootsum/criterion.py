@@ -140,9 +140,16 @@ def roots_of_unity(n: int) -> tuple[int, ...]:
     divides n and the units mod 2^l have order dividing 2^(l-1).  Mod an
     odd p^l the units form a cyclic group of order phi(p^l), so the roots
     are its subgroup of order d = gcd(n, phi(p^l)), generated by g^(phi/d)
-    for a generator g.  Each combined root is checked against
-    alpha^n == 1 (mod n) before it is returned.  The cost is
-    O(#roots * omega(n)) plus factorizing n and each p - 1.
+    for a generator g.
+
+    Every returned alpha is checked to satisfy alpha^n == 1 (mod n), through
+    the parts: each part residue r is checked by r^n == 1 (mod q), the parts
+    q must multiply to n (_crt_unit already makes each prime to n/q), and
+    each alpha must reduce mod every q to a checked residue.  By the chinese
+    remainder theorem that is alpha^n == 1 (mod n).  The cost is
+    O(sum of d * log n) for the part checks, over the d = gcd(n, phi(q))
+    residues of each part q, plus O(#roots * omega(n)) to combine and reduce
+    the roots, plus factorizing n and each p - 1.
 
     These residues form a group under multiplication mod n; 1 is always a
     member (0 when n = 1, where every residue is 0).
@@ -150,6 +157,7 @@ def roots_of_unity(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     roots = [0]
+    checked = []  # (q, the part residues r with r^n == 1 (mod q))
     for p, ell in _factors(n):
         q = p**ell
         d = _subgroup_order(n, p, ell)
@@ -160,13 +168,16 @@ def roots_of_unity(n: int) -> tuple[int, ...]:
             part = [1]
             for _ in range(d - 1):
                 part.append(part[-1] * h % q)
+        checked.append((q, {r for r in part if mod_pow(r, n, q).value == 1}))
         e = _crt_unit(n, q)
         roots = [(x + r * e) % n for x in roots for r in part]
+    if math.prod(q for q, _ in checked) != n:
+        raise ArithmeticError(f"the parts of {n} do not multiply to {n}")
     roots.sort()
-    one = 1 % n
-    for a in roots:
-        if mod_pow(a, n, n).value != one:
-            raise ArithmeticError(f"{a} is not an {n}-th root of unity mod {n}")
+    for q, residues in checked:
+        wrong = [a for a in roots if a % q not in residues]
+        if wrong:
+            raise ArithmeticError(f"{wrong[0]} is not an {n}-th root of unity mod {n}")
     return tuple(roots)
 
 

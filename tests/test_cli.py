@@ -301,7 +301,7 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(capsys, monkeypa
     def no_second_build():
         raise AssertionError("main built its parser again")
 
-    monkeypatch.setattr(cli, "build_parser", no_second_build)
+    monkeypatch.setattr(cli, "build_parsers", no_second_build)
     eval_argv = ("eval", "--n", "6", "--k", "2", "--alpha", "5", "--modulus", "1000000")
     code, out, _ = run_cli(capsys, *eval_argv, "--format", "csv")
     assert code == 0 and out == "n,k,alpha,modulus,residue\n6,2,5,1000000,2832\n"
@@ -314,6 +314,68 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(capsys, monkeypa
     assert code == 0 and "elapsed_ms" in json.loads(out)
     code, out, _ = run_cli(capsys, *scan_argv)
     assert code == 0 and "elapsed_ms" not in json.loads(out)
+
+
+CHECK = ("check", "--n", "6", "--k", "2", "--alpha", "5")
+DISPATCH_ARGVS = [
+    ("--help",),
+    ("check", "--help"),
+    (),
+    ("chec",),
+    ("chec", "--n", "6"),
+    ("--format", "json", "check"),
+    ("check", "--n", "6", "--k", "2"),  # missing --alpha
+    ("check", "--n", "six", "--k", "2", "--alpha", "5"),
+    (*CHECK, "extra"),
+    (*CHECK, "--bogus"),
+    (*CHECK, "--bogus", "--k", "1"),
+    ("check", "--bogus"),  # unknown and missing at once
+    ("roots", "--n=5", "--format", "json"),
+    ("eval", "--n", "6", "--k", "2", "--alpha", "5", "--mod", "1000000"),
+    ("scan", "--max-n", "5", "--max-k", "1", "--check", "--format", "json"),
+    ("scan", "--max-n", "5", "--max-k", "1", "--jobs=1", "--timing", "--format", "csv"),
+    ("roots", "--n", "5", "--n", "6"),
+    ("roots", "--n", "6", "--"),
+    ("roots", "--", "--n", "6"),
+    ("roots", "--n", "6", "--format", "xml"),
+    ("roots", "--n", "0"),  # parses, then the handler rejects it
+    ("hunt", "--drop", "clause-d", "--max-n", "5", "--max-k", "1"),
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
+    # main hands a subcommand's argv to that subcommand's parser alone; with
+    # no subcommands known to it, main parses everything with a freshly
+    # built full parser, as it did before
+    monkeypatch.setenv("COLUMNS", "80")
+    dispatched = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parsers", (cli.build_parsers()[0], {}))
+    assert dispatched == outcome(capsys, argv)
+
+
+def test_a_subcommand_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
+    main(["roots", "--n", "6"])
+    capsys.readouterr()
+    parser, _ = cli._parsers
+
+    def no_top_level_parse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(parser, "parse_args", no_top_level_parse)
+    code, out, _ = run_cli(capsys, *CHECK, "--format", "csv")
+    assert code == 0 and out.startswith("n,k,alpha,predicted,clauses,")
+    with pytest.raises(AssertionError, match="top-level parser ran"):
+        main([*CHECK, "--bogus"])
 
 
 def test_module_entry_point():

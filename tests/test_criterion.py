@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsum import (
+    criterion,
     explain,
     predict_vanishing,
     roots_of_unity,
@@ -179,6 +180,21 @@ class TestStructuralRoots:
     )
     def test_prime_power_shapes(self, n):
         assert_all_roots(n, roots_of_unity(n))
+
+    # odd parts with d > 1: 63 = 9 * 7, and 6930 = 2 * 9 * 5 * 7 * 11 with a 2-part
+    @pytest.mark.parametrize("n", [63, 6930])
+    def test_a_part_residue_that_is_no_root_raises(self, monkeypatch, n):
+        # p is no unit mod p^l, so it generates 0, which fails r^n == 1 (mod q)
+        monkeypatch.setattr(criterion, "_primitive_root", lambda p: p)
+        with pytest.raises(ArithmeticError, match="root of unity"):
+            roots_of_unity(n)
+
+    @pytest.mark.parametrize("n", [63, 6930])
+    def test_a_combined_root_off_its_parts_raises(self, monkeypatch, n):
+        # 1 is 1 mod q but not 0 mod n/q, so the sums miss the checked residues
+        monkeypatch.setattr(criterion, "_crt_unit", lambda n, q: 1)
+        with pytest.raises(ArithmeticError, match="root of unity"):
+            roots_of_unity(n)
 
     def test_random_n_below_the_input_cap(self):
         rng = random.Random(20190118)
