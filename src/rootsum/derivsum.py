@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .falling import _falling_int
 from .numtheory import (
@@ -77,22 +78,6 @@ def _falling_row(n: int, k: int, m: int) -> tuple[int, ...]:
     if k > _ROW_CHAIN_K:
         return tuple(_falling_int(i, k, m) for i in range(k, n))
     return tuple(i * r % m for i, r in zip(range(k, n), _falling_row(n, k - 1, m)))
-
-
-def _period_row(n: int, k: int, m: int, period: int) -> tuple[int, ...]:
-    # c_r with S(n, k, alpha) == sum of c_r * alpha^r (mod m) whenever
-    # alpha^period == 1 (mod m).  i-falling-k mod m has period m in i and
-    # is 0 for i < k, so the terms repeat every L = lcm(m, period) indices
-    # and each full block of L adds the first one again.  At most len(row)
-    # long: when period exceeds the row, c_r is the row itself.
-    block = math.lcm(m, period)
-    row = _falling_row(min(n, block), k, m)
-    full, tail = divmod(n, block)
-    stop = max(tail - k, 0)
-    return tuple(
-        (full * sum(row[r::period]) + sum(row[r:stop:period])) % m
-        for r in range(min(period, len(row)))
-    )
 
 
 def _horner(coeffs: tuple[int, ...], a: int, m: int) -> int:
@@ -292,12 +277,24 @@ def leibnitz_identity_check(n: int, k: int, t: int, m: int) -> bool:
 
 
 def _near_unity_sides(n: int, k: int, p: int) -> tuple[int, tuple[int, ...], int]:
-    # (m, row, rhs) for the near-unity congruence at (n, k, p): the modulus
-    # m = p^(l+e), the period sums with S(n, k, alpha) ==
-    # _horner(row, alpha mod m, m) (mod m) for every alpha == 1 (mod p), and
-    # the right side (n-1)-falling-k * n mod m.  p is prime.
-    m = p ** (_valuation_of_int(n, p) + _valuation_of_int(k + 1, p))
-    return m, _period_row(n, k, m, m // p or 1), _falling_int(n - 1, k, m) * (n % m) % m
+    # (m, coeffs, rhs) for the near-unity congruence at (n, k, p): the
+    # modulus m = p^(l+e), the Taylor coefficients of S(n, k, 1 + y) mod m
+    # with S(n, k, alpha) == _horner(coeffs, alpha mod m - 1, m) (mod m) for
+    # every alpha == 1 (mod p), and the right side (n-1)-falling-k * n mod m.
+    # p is prime.  i-falling-k mod m has period m in i and alpha^m == 1
+    # (mod m), so the n - k terms fold onto one block of m; each synthetic
+    # division by x - 1 then peels off one coefficient, and l + e of them
+    # suffice because p^s divides y^s.
+    exponent = _valuation_of_int(n, p) + _valuation_of_int(k + 1, p)
+    m = p**exponent
+    full, tail = divmod(n, m)
+    coeffs = [(full + (r < tail - k)) * c for r, c in enumerate(_falling_row(min(n, m), k, m))]
+    taylor = []
+    while coeffs and len(taylor) < exponent:
+        sums = [s % m for s in accumulate(reversed(coeffs))]
+        taylor.append(sums.pop())
+        coeffs = sums[::-1]
+    return m, tuple(taylor), _falling_int(n - 1, k, m) * (n % m) % m
 
 
 @dataclass(frozen=True)
@@ -325,20 +322,22 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
     statement mod p^l, since multiplying by k+1 shifts every p-valuation by
     exactly e.
 
-    S is evaluated mod m = p^(l+e) as a polynomial in alpha of degree below
-    m/p: every alpha == 1 (mod p) has alpha^(m/p) == 1 (mod m), so the n - k
-    terms fold into at most m/p period sums, and each call is one Horner
-    pass over those.  The modulus, the period sums and the right side come
-    from _near_unity_sides, which the --check-lemmas loop also reads, once
-    per (p, k).
+    S is evaluated mod m = p^(l+e) from its expansion around alpha = 1:
+    writing alpha = 1 + y, p^s divides y^s, so at most l + e Taylor
+    coefficients of S(n, k, 1 + y) survive mod m, and each call is one
+    Horner pass over those in y = alpha mod m - 1.  The coefficients come
+    from the falling-factorial row folded onto one block of m terms, not
+    from a series, so the check tests that row.  The modulus, the
+    coefficients and the right side come from _near_unity_sides, which the
+    --check-lemmas loop also reads, once per (p, k).
     """
     if n < 1 or k < 0:
         raise ValueError("closed_form_congruence requires n >= 1 and k >= 0")
     _require_prime(p)
     if alpha % p != 1:
         raise ValueError(f"alpha = {alpha} must be 1 mod {p}")
-    m, row, rhs = _near_unity_sides(n, k, p)
-    lhs = (k + 1) * _horner(row, alpha % m, m) % m
+    m, coeffs, rhs = _near_unity_sides(n, k, p)
+    lhs = (k + 1) * _horner(coeffs, alpha % m - 1, m) % m
     return CongruenceReport(
         p=p,
         ell=_valuation_of_int(n, p),

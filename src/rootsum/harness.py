@@ -116,11 +116,12 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
     The near-unity congruence covers every alpha == 1 (mod p) below n, and
     both its sides depend on alpha only through alpha mod m = p^(l+e), with
     l = nu_p(n) and e = nu_p(k+1).  Those classes are exactly
-    range(1, min(n, m), p).  For each (p, k) the modulus, period sums and
-    right side are taken once from _near_unity_sides, the computation
-    closed_form_congruence makes, and each class is checked by its own
-    Horner pass over the period sums, not over n terms.  A failing class
-    is reported once per alpha in it, in ascending alpha order.
+    range(1, min(n, m), p).  For each (p, k) the modulus, the Taylor
+    coefficients of S(n, k, 1 + y) mod m and the right side are taken once
+    from _near_unity_sides, the computation closed_form_congruence makes,
+    and each class c is checked by its own Horner pass at y = c - 1 over at
+    most l + e coefficients, not over n terms.  A failing class is reported
+    once per alpha in it, in ascending alpha order.
     """
     failures: list[str] = []
 
@@ -158,10 +159,10 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
 
     for p, _ in factorize(n):
         for k in range(max_k + 1):
-            m, row, rhs = _near_unity_sides(n, k, p)
+            m, coeffs, rhs = _near_unity_sides(n, k, p)
             bad: list[tuple[int, int]] = []
             for c in range(1, min(n, m), p):
-                lhs = (k + 1) * _horner(row, c, m) % m
+                lhs = (k + 1) * _horner(coeffs, c - 1, m) % m
                 if lhs != rhs:
                     bad.extend((alpha, lhs) for alpha in range(c, n, m))
             failures.extend(
@@ -192,10 +193,10 @@ def _scan_unit(
     sum is empty, so it is 0, and every criterion, full or weakened,
     predicts vanishing (k+1 = 4 > n cannot divide n, nor can a prime
     k+1 > n).  Each lemma check is vacuous there too: the valuation of
-    (n-1)-falling-k is infinite, the telescoping and near-unity rows are
-    empty with (n-1)-falling-k = 0, and both Leibnitz sides are 0.  So the
-    loops stop at k = min(max_k, n - 1), while scan still counts those
-    cases in cases_checked.
+    (n-1)-falling-k is infinite, the telescoping row and the near-unity
+    coefficients are empty with (n-1)-falling-k = 0, and both Leibnitz
+    sides are 0.  So the loops stop at k = min(max_k, n - 1), while scan
+    still counts those cases in cases_checked.
     """
     top = min(max_k, n - 1)
     roots = roots_of_unity(n)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rootsum import (
     INFINITY,
     NotAUnitError,
+    Residue,
     SumQuery,
     closed_form_congruence,
     factorize,
@@ -28,7 +29,7 @@ from rootsum.derivsum import (
     _falling_row,
     _horner,
     _leibnitz_rhs,
-    _period_row,
+    _near_unity_sides,
     _SHORT_ROW,
     _split_modulus,
     _sum_closed,
@@ -172,61 +173,49 @@ class TestFallingRow:
         assert _falling_row.cache_info().currsize <= 13
 
 
-def part_exponent(n, p, ell):
-    # exponent of the group of part residues alpha mod p^ell of the roots
-    # of unity mod n: cyclic of order gcd(n, phi(p^ell)) for odd p; for
-    # p = 2 (with 2^ell | n) every odd residue, of exponent 1, 2, 2^(ell-2)
-    if p == 2:
-        return 2 ** (ell - 2) if ell >= 3 else ell
-    return math.gcd(n, (p - 1) * p ** (ell - 1))
-
-
-class TestPeriodRow:
-    def test_near_unity_classes_match_direct_sum(self):
-        # every alpha == 1 (mod p) has alpha^(m/p) == 1 (mod m = p^j)
+class TestNearUnityCoefficients:
+    def test_classes_match_direct_sum(self):
+        # every alpha == 1 (mod p) below 3n, for every p | n and, with
+        # m = p^e or m = 1, for small primes not dividing n
         shapes = set()
-        for p in (2, 3, 5, 7, 11, 13):
-            for j in range(9):
-                m = p**j
-                if m > 500:
-                    break
-                period = m // p or 1
-                block = math.lcm(m, period)
-                alphas = range(1, m, p) if m > 1 else (1, 0, -4)
-                for n in range(1, 41):
-                    for k in range(15):
-                        coeffs = _period_row(n, k, m, period)
-                        assert [_horner(coeffs, alpha % m, m) for alpha in alphas] == [
-                            _sum_mod(n, k, alpha, m) for alpha in alphas
-                        ], (n, k, m)
-                        shapes.add("m = 1" if m == 1 else "k >= L" if k >= block else
-                                   "n < L" if n < block else "tail" if n % block > k else "full")
-        assert shapes == {"m = 1", "k >= L", "n < L", "tail", "full"}
-
-    def test_part_residues_of_roots_match_direct_sum_mod_n(self):
-        cases = 0
-        for n in range(1, 151):
-            roots = roots_of_unity(n)
-            for p, ell in factorize(n):
-                q = p**ell
-                period = part_exponent(n, p, ell)
-                parts = sorted({alpha % q for alpha in roots})
-                assert all(pow(a, period, q) == 1 for a in parts)
-                for k in range(13):
-                    for a in parts:
-                        assert _horner(_period_row(n, k, q, period), a, q) == _sum_mod(n, k, a, n) % q, (
-                            n, k, a
+        for n in range(1, 81):
+            for p in sorted({p for p, _ in factorize(n)} | {2, 3, 5, 7}):
+                for k in range(n + 3):
+                    m, coeffs, rhs = _near_unity_sides(n, k, p)
+                    ell, e = brute_valuation(n, p), brute_valuation(k + 1, p)
+                    assert m == p ** (ell + e) and len(coeffs) <= ell + e, (n, k, p)
+                    assert rhs == exact_falling(n - 1, k) * n % m
+                    for alpha in range(1, 3 * n, p):
+                        assert _horner(coeffs, alpha % m - 1, m) == _sum_mod(n, k, alpha, m), (
+                            n, k, p, alpha
                         )
-                        cases += 1
-        assert cases == 11180
+                    shapes.add("m = 1" if m == 1 else "k >= m" if k >= m else
+                               "n < m" if n < m else "tail" if n % m > k else "full")
+        assert shapes == {"m = 1", "k >= m", "n < m", "tail", "full"}
 
-    def test_row_is_no_longer_than_the_falling_row(self):
-        # one route: a period beyond the row leaves the row itself
-        assert _period_row(30, 4, 1000003, 10**6) == _falling_row(30, 4, 1000003)
-        # alpha = 1 gives the sum of i(i-1) for i < 30, 2 * C(30, 3) = 8120 == 2 (mod 9)
-        assert _period_row(30, 2, 9, 3) == (2, 0, 0)
-        assert len(_period_row(200, 3, 9, 3)) == 3
-        assert _period_row(5, 7, 9, 3) == ()
+    def test_closed_form_congruence_reads_the_coefficients(self):
+        # p need not divide n: then l = 0 and m = p^e, down to m = 1
+        for n in range(1, 41):
+            for p in (2, 3, 5, 7):
+                for k in range(n + 3):
+                    m = p ** (brute_valuation(n, p) + brute_valuation(k + 1, p))
+                    for alpha in range(1, 3 * n, p):
+                        rep = closed_form_congruence(n, k, alpha, p)
+                        assert rep.lhs_times_kp1 == Residue((k + 1) * _sum_mod(n, k, alpha, m), m)
+                        assert rep.congruent, (n, k, alpha, p)
+
+    def test_coefficients_at_a_glance(self):
+        # m = 16 > n = 8, so nothing folds: S(8, 1, 1 + y) is the sum over
+        # s of (s+1) * C(8, s+2) * y^s, whose first l + e = 4 coefficients
+        # 28, 112, 210, 224 reduce to 12, 0, 2, 0 mod 16
+        assert _near_unity_sides(8, 1, 2) == (16, (12, 0, 2, 0), 7 * 8 % 16)
+        # n = 30 folds onto blocks of m = 9; the constant term is still
+        # S(30, 2, 1) = 2 * C(30, 3) = 8120 == 2 (mod 9)
+        assert _near_unity_sides(30, 2, 3) == (9, (2, 0), 29 * 28 * 30 % 9)
+        # k >= m: every i-falling-k is 0 mod m
+        assert _near_unity_sides(9, 10, 3) == (9, (), 0)
+        # p divides neither n nor k + 1
+        assert _near_unity_sides(6, 0, 5) == (1, (), 0)
 
 
 class TestSumByCrt:

@@ -89,8 +89,9 @@ class TestResidueClassMemos:
         from oracles import brute_valuation
         from rootsum import closed_form_congruence, derivsum
 
-        # 72 = 2^3 * 3^2 and nu_3(3) = 1, so the class of 4 mod 27 at (p, k) = (3, 2)
-        target = derivsum._period_row(72, 2, 27, 9)
+        # 72 = 2^3 * 3^2 and nu_3(3) = 1, so the class of 4 mod 27 at
+        # (p, k) = (3, 2), evaluated at y = 4 - 1
+        target = derivsum._near_unity_sides(72, 2, 3)[1]
         real_horner, real_sides = derivsum._horner, harness._near_unity_sides
         visits = []
 
@@ -101,7 +102,7 @@ class TestResidueClassMemos:
         def failing_one_class(coeffs, a, m):
             # the Horner pass closed_form_congruence runs
             value = real_horner(coeffs, a, m)
-            if m == 27 and a == 4 and coeffs == target:
+            if m == 27 and a == 3 and coeffs == target:
                 return (value + 1) % m
             return value
 
@@ -130,7 +131,7 @@ class TestResidueClassMemos:
         ]
         for (p, k), classes in visits:
             m = p ** (brute_valuation(n, p) + brute_valuation(k + 1, p))
-            assert sorted(classes) == sorted({alpha % m for alpha in range(1, n, p)})
+            assert sorted(classes) == sorted({alpha % m - 1 for alpha in range(1, n, p)})
 
     def test_near_unity_loop_and_closed_form_congruence_are_one_computation(self, monkeypatch):
         from rootsum import closed_form_congruence
@@ -141,10 +142,10 @@ class TestResidueClassMemos:
         def every_class_fails(n, k, p):
             # a right side no lhs in [0, m) can equal, so _lemma_checks lists
             # every alpha with the lhs it computed for alpha's class
-            m, row, rhs = real_sides(n, k, p)
+            m, coeffs, rhs = real_sides(n, k, p)
             rhs_seen[n, k, p] = rhs
             assert set(range(1, min(n, m), p)) == {a % m for a in range(1, n, p)}
-            return m, row, -1
+            return m, coeffs, -1
 
         monkeypatch.setattr(harness, "_near_unity_sides", every_class_fails)
         prefix = "near-unity congruence: "
@@ -211,6 +212,27 @@ class TestLemmaChecks:
                 exact = exact_falling(n, k + 1)
                 assert (k + 1) * sum(exact_falling(i, k) for i in range(n)) == exact
                 assert exact % n == 0
+
+    def test_near_unity_classes_cost_at_most_l_plus_e_coefficients(self, monkeypatch):
+        # n = 2^12 has 2048 classes at every k <= 12, each read over at most
+        # l + e = 12 + nu_2(k+1) coefficients: 2048 * (13 * 12 + 10) in all.
+        # A Horner pass per class over the m/p period sums reads 79,618,048
+        real = harness._horner
+        reads = []
+
+        def counting(coeffs, a, m):
+            reads.append(len(coeffs))
+            return real(coeffs, a, m)
+
+        monkeypatch.setattr(harness, "_horner", counting)
+        assert harness._lemma_checks(4096, 12) == []
+        assert len(reads) == 2048 * 13
+        assert sum(reads) <= 339_968
+
+    def test_every_k_below_n_is_clean(self):
+        # every e, and rows above _ROW_CHAIN_K, through the lemma checks
+        report = scan(ScanConfig(150, 149, check_lemmas=True))
+        assert report.mismatches == [] and report.lemma_failures == []
 
 
 class TestHuntWeakened:
