@@ -41,6 +41,7 @@ import csv
 import json
 import sys
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional
 
 from .criterion import _root_count, explain, roots_of_unity
@@ -157,6 +158,46 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _json(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2) writes it, nested at indent.
+
+    json.dumps takes the pure-Python encoder whenever indent is given, one
+    generator step per item, and its nested closures leave cyclic garbage.
+    Here containers are joined with str.join and every leaf is written by
+    a C-level function, so a reply leaves nothing for the cyclic collector.
+    A list of plain ints (a roots list) is one join over int.__repr__.
+    Dict keys are strings.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = (
+            f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()
+        )
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = (_json(item, inner) for item in value)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit(
     args,
     payload: dict,
@@ -166,15 +207,18 @@ def _emit(
 ) -> None:
     """Print the rendering that --format asks for, and build only that one.
 
-    json prints payload.  csv prints the JSON records that records() gives
-    as a table: each row is a record's fields in order, with clause lists
-    joined and nested dicts (check's witness) left out.  Its header is
+    json prints payload as _json writes it: the same bytes as
+    json.dumps(payload, indent=2), built with str.join and C-level scalar
+    writers instead of the pure-Python encoder.  csv prints the JSON
+    records that records() gives as a table: each row is a record's fields
+    in order, with clause lists joined and nested dicts (check's witness)
+    left out.  Its header is
     header, or the first record's own fields when header is None, which
     only a table that is never empty may use.  plain prints the lines that
     lines() gives.
     """
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json(payload, ""))
     elif args.format == "csv":
         rows = [
             {key: "".join(value) if isinstance(value, list) else value

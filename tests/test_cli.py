@@ -1,5 +1,6 @@
 """CLI behavior: formats, schemas, exit codes, determinism."""
 
+import gc
 import json
 import math
 import subprocess
@@ -7,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rootsum.cli as cli
 from rootsum import MismatchRecord, ScanReport
@@ -314,6 +317,55 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(capsys, monkeypa
     assert code == 0 and "elapsed_ms" in json.loads(out)
     code, out, _ = run_cli(capsys, *scan_argv)
     assert code == 0 and "elapsed_ms" not in json.loads(out)
+
+
+# every JSON scalar kind: huge and negative ints, floats (NaN and the
+# infinities too) for the json.dumps fallback, and strings that need escapes
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.text()
+    | st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f\u00e9\u2028\U0001f600a'))
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.lists(st.integers())
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+def test_json_renderer_writes_the_indented_encoders_bytes(value):
+    assert cli._json(value, "") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--n", "6", "--k", "2", "--alpha", "5"),
+    ("eval", "--n", "1000", "--k", "5", "--alpha", "-3", "--modulus", "97"),
+    ("roots", "--n", "360"),
+    ("hunt", "--drop", "clause-b", "--max-n", "20", "--max-k", "4"),
+    ("scan", "--max-n", "20", "--max-k", "4", "--check-lemmas"),
+], ids=" ".join)
+def test_a_json_reply_leaves_no_cyclic_garbage(capsys, argv):
+    argv = [*argv, "--format", "json"]
+    main(argv)  # the first call in a process builds the parsers
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert code == 0 and capsys.readouterr().out
+    assert unreachable == 0
 
 
 CHECK = ("check", "--n", "6", "--k", "2", "--alpha", "5")

@@ -47,6 +47,9 @@ PINNED = {
         "c8080ff5cee01b5f706f3cd2a3428f4ef309d308d584b8ee2e0dfa351cef808a",
     "roots --n 360 --format plain":
         "b4ca286e9978f70c9c5d63782b98cf5bef871a4a4b85935621b23a0c8f187834",
+    # 32,768 roots: one join over a long list of ints
+    "roots --n 65536 --format json":
+        "72b8993d7f66cf38733a712772247be29d61681017979d8442c8cae8f3262b7c",
     "check --n 6 --k 2 --alpha 5 --format json":
         "3c7096ef97a17eaf771914f93315162ed2d4a44965978f6ffd25f3f5b8f1fd8a",
     "check --n 6 --k 2 --alpha 5 --format csv":
@@ -82,7 +85,7 @@ def test_cli_output_bytes_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
 
 
-# sha256 of the --help text at COLUMNS=80, the same on Python 3.10 to 3.12
+# sha256 of the --help text at COLUMNS=80, the same on Python 3.10 to 3.13
 HELP_PINNED = {
     "": "8d37a53a2ebe1dfe851c1954796c33cfaca2b0cc8bbe4d0ffc0681057e262701",
     "eval": "0d04e88c4c74c0d29bbefe030badc0f8aea0368f950508df21153d6fafa20867",
