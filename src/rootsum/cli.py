@@ -212,10 +212,9 @@ def _emit(
     writers instead of the pure-Python encoder.  csv prints the JSON
     records that records() gives as a table: each row is a record's fields
     in order, with clause lists joined and nested dicts (check's witness)
-    left out.  Its header is
-    header, or the first record's own fields when header is None, which
-    only a table that is never empty may use.  plain prints the lines that
-    lines() gives.
+    left out.  Its header is header, or the first record's own fields when
+    header is None, which only a table that is never empty may use.  plain
+    prints the lines that lines() gives.
     """
     if args.format == "json":
         print(_json(payload, ""))
