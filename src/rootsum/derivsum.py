@@ -66,18 +66,26 @@ class SumQuery:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
 
 
-_ROW_CHAIN_K = 32  # a cold chain recurses at most this deep and caches at most 33 of the 256 rows
-
-
 @lru_cache(maxsize=256)
 def _falling_row(n: int, k: int, m: int) -> tuple[int, ...]:
     # i-falling-k mod m for k <= i < n, from row k - 1 by
-    # i-falling-k = i * (i-1)-falling-(k-1)
+    # i-falling-k = i * (i-1)-falling-(k-1), one multiply per entry.  A miss
+    # recurses through every missing row below, so only loops that ask for
+    # rows k = 0, 1, ... in order call this directly (harness._scan_unit and
+    # the telescoping check); every other caller goes through _row
     if k == 0:
         return (1 % m,) * n
-    if k > _ROW_CHAIN_K:
-        return tuple(_falling_int(i, k, m) for i in range(k, n))
     return tuple(i * r % m for i, r in zip(range(k, n), _falling_row(n, k - 1, m)))
+
+
+def _row(n: int, k: int, m: int) -> tuple[int, ...]:
+    # _falling_row(n, k, m), with rows 0..k asked for in order so that no
+    # miss recurses more than one row deep; rows k >= n are empty
+    if k >= n:
+        return ()
+    for j in range(k):
+        _falling_row(n, j, m)
+    return _falling_row(n, k, m)
 
 
 def _horner(coeffs: tuple[int, ...], a: int, m: int) -> int:
@@ -90,7 +98,7 @@ def _horner(coeffs: tuple[int, ...], a: int, m: int) -> int:
 
 def _sum_mod(n: int, k: int, alpha: int, m: int) -> int:
     # the row of i-falling-k for k <= i < n is the coefficient list in alpha
-    return _horner(_falling_row(n, k, m), alpha % m, m)
+    return _horner(_row(n, k, m), alpha % m, m)
 
 
 def _leibnitz_rhs(n: int, k: int, t: int, m: int) -> int:
@@ -188,9 +196,8 @@ def sum_direct(q: SumQuery) -> Residue:
 
     * direct summation over i from n-1 down to k in Horner form, over a
       row of falling factorials memoized per (n, k, modulus): row k is one
-      multiply per term from row k - 1 (each term its own k-term product
-      above k = 32), then one multiply-add per term, so O(n * k) cold and
-      O(n-k) once row k or k - 1 is warm;
+      multiply per term from row k - 1, then one multiply-add per term, so
+      O(n * k) cold and O(n-k) once rows 0..k are warm;
     * a closed form in O(k + log n), with no row, no factorization and no
       integer that grows with k.  The modulus splits as b * g, where every
       prime of b divides alpha - 1 and g is prime to it.  Mod g, 1 - alpha
@@ -222,9 +229,12 @@ def sum_direct(q: SumQuery) -> Residue:
         1e5      12       0.006 ms   139 ms        6.9 ms
         2**31    12       0.008 ms   -             -
         1000     2        0.003 ms   0.22 ms       0.06 ms
-        5000     100      0.023 ms   32 ms         0.32 ms
-        3000     1000     0.30 ms    129 ms        0.12 ms
+        5000     100      0.023 ms   59 ms         0.35 ms
+        3000     1000     0.30 ms    248 ms        233 ms
         1e6      200000   53 ms      -             -
+
+    A chain longer than the memo's 256 rows, as at k = 1000, finds its low
+    rows evicted and is rebuilt on every call, so it is never warm.
 
     Each column is one timeit command, run from the repository root (shown
     at n = 1000, k = 12; the criterion, which evaluates no sum, for scale):
@@ -278,23 +288,23 @@ def leibnitz_identity_check(n: int, k: int, t: int, m: int) -> bool:
 
 def _near_unity_sides(n: int, k: int, p: int) -> tuple[int, tuple[int, ...], int]:
     # (m, coeffs, rhs) for the near-unity congruence at (n, k, p): the
-    # modulus m = p^(l+e), the Taylor coefficients of S(n, k, 1 + y) mod m
-    # with S(n, k, alpha) == _horner(coeffs, alpha mod m - 1, m) (mod m) for
-    # every alpha == 1 (mod p), and the right side (n-1)-falling-k * n mod m.
-    # p is prime.  i-falling-k mod m has period m in i and alpha^m == 1
-    # (mod m), so the n - k terms fold onto one block of m; each synthetic
-    # division by x - 1 then peels off one coefficient, and l + e of them
-    # suffice because p^s divides y^s.
+    # modulus m = p^(l+e), the Taylor coefficients of (k+1) * S(n, k, 1 + y)
+    # mod m, with (k+1) * S(n, k, alpha) == _horner(coeffs, alpha mod m - 1,
+    # m) (mod m) for every alpha == 1 (mod p), and the right side
+    # (n-1)-falling-k * n mod m.  p is prime.  i-falling-k mod m has period
+    # m in i and alpha^m == 1 (mod m), so the n - k terms fold onto one
+    # block of m; each synthetic division by x - 1 then peels off one
+    # coefficient of S, and l + e of them suffice because p^s divides y^s.
     exponent = _valuation_of_int(n, p) + _valuation_of_int(k + 1, p)
     m = p**exponent
     full, tail = divmod(n, m)
-    coeffs = [(full + (r < tail - k)) * c for r, c in enumerate(_falling_row(min(n, m), k, m))]
+    coeffs = [(full + (r < tail - k)) * c for r, c in enumerate(_row(min(n, m), k, m))]
     taylor = []
     while coeffs and len(taylor) < exponent:
         sums = [s % m for s in accumulate(reversed(coeffs))]
         taylor.append(sums.pop())
         coeffs = sums[::-1]
-    return m, tuple(taylor), _falling_int(n - 1, k, m) * (n % m) % m
+    return m, tuple((k + 1) * c % m for c in taylor), _falling_int(n - 1, k, m) * (n % m) % m
 
 
 @dataclass(frozen=True)
@@ -322,14 +332,15 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
     statement mod p^l, since multiplying by k+1 shifts every p-valuation by
     exactly e.
 
-    S is evaluated mod m = p^(l+e) from its expansion around alpha = 1:
-    writing alpha = 1 + y, p^s divides y^s, so at most l + e Taylor
-    coefficients of S(n, k, 1 + y) survive mod m, and each call is one
-    Horner pass over those in y = alpha mod m - 1.  The coefficients come
-    from the falling-factorial row folded onto one block of m terms, not
-    from a series, so the check tests that row.  The modulus, the
-    coefficients and the right side come from _near_unity_sides, which the
-    --check-lemmas loop also reads, once per (p, k).
+    (k+1) * S is evaluated mod m = p^(l+e) from its expansion around
+    alpha = 1: writing alpha = 1 + y, p^s divides y^s, so at most l + e
+    Taylor coefficients of (k+1) * S(n, k, 1 + y) survive mod m, and each
+    call is one Horner pass over those in y = alpha mod m - 1.  The
+    coefficients come from the falling-factorial row folded onto one block
+    of m terms, not from a series, so the check tests that row.  The
+    modulus, the coefficients and the right side come from
+    _near_unity_sides, which the --check-lemmas loop also reads, once per
+    (p, k).
     """
     if n < 1 or k < 0:
         raise ValueError("closed_form_congruence requires n >= 1 and k >= 0")
@@ -337,7 +348,7 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
     if alpha % p != 1:
         raise ValueError(f"alpha = {alpha} must be 1 mod {p}")
     m, coeffs, rhs = _near_unity_sides(n, k, p)
-    lhs = (k + 1) * _horner(coeffs, alpha % m - 1, m) % m
+    lhs = _horner(coeffs, alpha % m - 1, m)
     return CongruenceReport(
         p=p,
         ell=_valuation_of_int(n, p),

@@ -30,7 +30,6 @@ from .derivsum import (
     _falling_row,
     _horner,
     _near_unity_sides,
-    _sum_mod,
     leibnitz_identity_check,
 )
 from .falling import valuation_bounds
@@ -117,11 +116,12 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
     both its sides depend on alpha only through alpha mod m = p^(l+e), with
     l = nu_p(n) and e = nu_p(k+1).  Those classes are exactly
     range(1, min(n, m), p).  For each (p, k) the modulus, the Taylor
-    coefficients of S(n, k, 1 + y) mod m and the right side are taken once
-    from _near_unity_sides, the computation closed_form_congruence makes,
-    and each class c is checked by its own Horner pass at y = c - 1 over at
-    most l + e coefficients, not over n terms.  A failing class is reported
-    once per alpha in it, in ascending alpha order.
+    coefficients of (k+1) * S(n, k, 1 + y) mod m and the right side are
+    taken once from _near_unity_sides, the computation
+    closed_form_congruence makes, and each class c is checked by its own
+    Horner pass at y = c - 1 over at most l + e coefficients, not over n
+    terms.  A failing class is reported once per alpha in it, in ascending
+    alpha order.
     """
     failures: list[str] = []
 
@@ -162,7 +162,7 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
             m, coeffs, rhs = _near_unity_sides(n, k, p)
             bad: list[tuple[int, int]] = []
             for c in range(1, min(n, m), p):
-                lhs = (k + 1) * _horner(coeffs, c - 1, m) % m
+                lhs = _horner(coeffs, c - 1, m)
                 if lhs != rhs:
                     bad.extend((alpha, lhs) for alpha in range(c, n, m))
             failures.extend(
@@ -202,13 +202,14 @@ def _scan_unit(
     roots = roots_of_unity(n)
     mismatches: list[MismatchRecord] = []
     for k in range(top + 1):
+        row = _falling_row(n, k, n)
         verdicts: dict[int, tuple[bool, Collection[str]]] = {}
         for alpha in roots:
             verdict = verdicts.get(alpha % (k + 1))
             if verdict is None:
                 verdict = verdicts[alpha % (k + 1)] = _weakened_clauses(n, k, alpha, drop)
             predicted, clauses = verdict
-            residue = _sum_mod(n, k, alpha, n)
+            residue = _horner(row, alpha, n)
             if predicted != (residue == 0):
                 mismatches.append(
                     MismatchRecord(

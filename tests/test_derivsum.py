@@ -23,13 +23,13 @@ from rootsum import (
     sum_by_crt,
     sum_direct,
 )
-from rootsum import derivsum
+from rootsum import derivsum, harness
 from rootsum.derivsum import (
-    _ROW_CHAIN_K,
     _falling_row,
     _horner,
     _leibnitz_rhs,
     _near_unity_sides,
+    _row,
     _SHORT_ROW,
     _split_modulus,
     _sum_closed,
@@ -123,10 +123,10 @@ ROW_DEPTHS = range(41)
 
 class TestFallingRow:
     def _assert_rows(self, keys):
-        assert _ROW_CHAIN_K < max(ROW_DEPTHS)
         _falling_row.cache_clear()
         for n, k, m in keys:
-            assert list(_falling_row(n, k, m)) == [_falling_int(i, k, m) for i in range(k, n)], (n, k, m)
+            expected = [_falling_int(i, k, m) for i in range(k, n)]
+            assert list(_falling_row(n, k, m)) == expected == list(_row(n, k, m)), (n, k, m)
 
     def test_ascending_k(self):
         self._assert_rows((n, k, m) for m in ROW_MODULI for n in ROW_LENGTHS for k in ROW_DEPTHS)
@@ -140,9 +140,11 @@ class TestFallingRow:
         self._assert_rows((n, k, m) for n in ROW_LENGTHS for k in ROW_DEPTHS for m in ROW_MODULI)
 
     def test_large_k_against_exact_oracle(self):
-        # the row route at n = 3000, k = 1000, from a cold cache
+        # the row route at n = 3000, k = 1000, from a cold cache: its chain
+        # of 1001 rows passes through the memo, which keeps at most 256
         _falling_row.cache_clear()
         assert _sum_mod(3000, 1000, 3, 1000003) == brute_sum(3000, 1000, 3, 1000003)
+        assert _falling_row.cache_info().currsize <= 256
 
     def test_larger_k_than_the_recursion_limit(self):
         # brute_sum(6000, 5000, 3, 1000003) == 848734 takes ~20 s; a chain
@@ -160,12 +162,35 @@ class TestFallingRow:
         monkeypatch.setattr(derivsum, "_falling_int", counting)
         _falling_row.cache_clear()
         _scan_unit(300, 12, DROP_NONE, False)
+        _scan_unit(60, 59, DROP_NONE, False)
         assert calls == []
 
-    def test_large_k_caches_one_row(self):
+    def test_scan_unit_asks_for_one_row_per_k(self, monkeypatch):
+        # rows k = 0..n-1 in order, each summed at every root by _horner
+        real = harness._falling_row
+        asked = []
+
+        def counting(n, k, m):
+            asked.append((n, k, m))
+            return real(n, k, m)
+
+        def no_sum_mod(*args):
+            raise AssertionError(f"_sum_mod{args}")
+
+        monkeypatch.setattr(harness, "_falling_row", counting)
+        monkeypatch.setattr(derivsum, "_sum_mod", no_sum_mod)
         _falling_row.cache_clear()
-        _sum_mod(3000, 1000, 3, 1000003)
-        assert _falling_row.cache_info().currsize == 1
+        assert _scan_unit(72, 100, DROP_NONE, False)[1] == []
+        assert asked == [(72, k, 72) for k in range(72)]
+
+    def test_rows_past_n_are_not_climbed(self):
+        # every row k >= n is empty, so the climb through rows 0..k stops
+        # before it starts: a million empty rows would fill the memo
+        _falling_row.cache_clear()
+        _sum_mod(5, 2, 2, 7)
+        before = _falling_row.cache_info().currsize
+        assert leibnitz_identity_check(5, 10**6, 2, 7)
+        assert _falling_row.cache_info().currsize == before
 
     def test_cold_chain_caches_the_rows_below(self):
         _falling_row.cache_clear()
@@ -186,9 +211,8 @@ class TestNearUnityCoefficients:
                     assert m == p ** (ell + e) and len(coeffs) <= ell + e, (n, k, p)
                     assert rhs == exact_falling(n - 1, k) * n % m
                     for alpha in range(1, 3 * n, p):
-                        assert _horner(coeffs, alpha % m - 1, m) == _sum_mod(n, k, alpha, m), (
-                            n, k, p, alpha
-                        )
+                        lhs = (k + 1) * _sum_mod(n, k, alpha, m) % m
+                        assert _horner(coeffs, alpha % m - 1, m) == lhs, (n, k, p, alpha)
                     shapes.add("m = 1" if m == 1 else "k >= m" if k >= m else
                                "n < m" if n < m else "tail" if n % m > k else "full")
         assert shapes == {"m = 1", "k >= m", "n < m", "tail", "full"}
@@ -205,13 +229,13 @@ class TestNearUnityCoefficients:
                         assert rep.congruent, (n, k, alpha, p)
 
     def test_coefficients_at_a_glance(self):
-        # m = 16 > n = 8, so nothing folds: S(8, 1, 1 + y) is the sum over
-        # s of (s+1) * C(8, s+2) * y^s, whose first l + e = 4 coefficients
-        # 28, 112, 210, 224 reduce to 12, 0, 2, 0 mod 16
-        assert _near_unity_sides(8, 1, 2) == (16, (12, 0, 2, 0), 7 * 8 % 16)
+        # m = 16 > n = 8, so nothing folds: 2 * S(8, 1, 1 + y) is the sum
+        # over s of 2 * (s+1) * C(8, s+2) * y^s, whose first l + e = 4
+        # coefficients 56, 224, 420, 448 reduce to 8, 0, 4, 0 mod 16
+        assert _near_unity_sides(8, 1, 2) == (16, (8, 0, 4, 0), 7 * 8 % 16)
         # n = 30 folds onto blocks of m = 9; the constant term is still
-        # S(30, 2, 1) = 2 * C(30, 3) = 8120 == 2 (mod 9)
-        assert _near_unity_sides(30, 2, 3) == (9, (2, 0), 29 * 28 * 30 % 9)
+        # 3 * S(30, 2, 1) = 6 * C(30, 3) = 24360 == 6 (mod 9)
+        assert _near_unity_sides(30, 2, 3) == (9, (6, 0), 29 * 28 * 30 % 9)
         # k >= m: every i-falling-k is 0 mod m
         assert _near_unity_sides(9, 10, 3) == (9, (), 0)
         # p divides neither n nor k + 1

@@ -230,7 +230,7 @@ class TestLemmaChecks:
         assert sum(reads) <= 339_968
 
     def test_every_k_below_n_is_clean(self):
-        # every e, and rows above _ROW_CHAIN_K, through the lemma checks
+        # every e, and every row k < n, through the lemma checks
         report = scan(ScanConfig(150, 149, check_lemmas=True))
         assert report.mismatches == [] and report.lemma_failures == []
 
