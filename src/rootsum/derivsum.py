@@ -286,25 +286,32 @@ def leibnitz_identity_check(n: int, k: int, t: int, m: int) -> bool:
     return _sum_mod(n, k, t, m) == _leibnitz_rhs(n, k, t, m)
 
 
-def _near_unity_sides(n: int, k: int, p: int) -> tuple[int, tuple[int, ...], int]:
+def _near_unity_sides(
+    n: int, k: int, p: int, row: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], int]:
     # (m, coeffs, rhs) for the near-unity congruence at (n, k, p): the
     # modulus m = p^(l+e), the Taylor coefficients of (k+1) * S(n, k, 1 + y)
-    # mod m, with (k+1) * S(n, k, alpha) == _horner(coeffs, alpha mod m - 1,
-    # m) (mod m) for every alpha == 1 (mod p), and the right side
-    # (n-1)-falling-k * n mod m.  p is prime.  i-falling-k mod m has period
-    # m in i and alpha^m == 1 (mod m), so the n - k terms fold onto one
-    # block of m; each synthetic division by x - 1 then peels off one
-    # coefficient of S, and l + e of them suffice because p^s divides y^s.
-    exponent = _valuation_of_int(n, p) + _valuation_of_int(k + 1, p)
-    m = p**exponent
-    full, tail = divmod(n, m)
-    coeffs = [(full + (r < tail - k)) * c for r, c in enumerate(_row(min(n, m), k, m))]
+    # mod m, with (k+1) * S(n, k, alpha) == _horner(coeffs, y, m) (mod m) for
+    # every alpha == 1 (mod p) and y == alpha - 1 (mod q), and the right side
+    # (n-1)-falling-k * n mod m.  p is prime, q = p^l, and row is
+    # i-falling-k modulo any multiple of q for k <= i < q (or longer).  With
+    # k+1 = p^e * u, (k+1) * S mod m depends on S only through S mod q, so
+    # the row is reduced mod q.  i-falling-k mod q has period q in i and
+    # alpha^q == 1 (mod q), and q divides n, so the n - k terms fold onto one
+    # block of q exactly n/q times; each synthetic division by x - 1 then
+    # peels off one coefficient of S mod q, and l of them suffice because
+    # p^s divides y^s.  Scaling by (k+1) * (n/q) lifts them into mod m.
+    ell = _valuation_of_int(n, p)
+    q = p**ell
+    m = q * p ** _valuation_of_int(k + 1, p)
+    coeffs = [c % q for c in row[: max(q - k, 0)]]
     taylor = []
-    while coeffs and len(taylor) < exponent:
-        sums = [s % m for s in accumulate(reversed(coeffs))]
+    while coeffs and len(taylor) < ell:
+        sums = [s % q for s in accumulate(reversed(coeffs))]
         taylor.append(sums.pop())
         coeffs = sums[::-1]
-    return m, tuple((k + 1) * c % m for c in taylor), _falling_int(n - 1, k, m) * (n % m) % m
+    scale = (k + 1) * (n // q)
+    return m, tuple(scale * c % m for c in taylor), _falling_int(n - 1, k, m) * (n % m) % m
 
 
 @dataclass(frozen=True)
@@ -333,25 +340,30 @@ def closed_form_congruence(n: int, k: int, alpha: int, p: int) -> CongruenceRepo
     exactly e.
 
     (k+1) * S is evaluated mod m = p^(l+e) from its expansion around
-    alpha = 1: writing alpha = 1 + y, p^s divides y^s, so at most l + e
-    Taylor coefficients of (k+1) * S(n, k, 1 + y) survive mod m, and each
-    call is one Horner pass over those in y = alpha mod m - 1.  The
-    coefficients come from the falling-factorial row folded onto one block
-    of m terms, not from a series, so the check tests that row.  The
-    modulus, the coefficients and the right side come from
-    _near_unity_sides, which the --check-lemmas loop also reads, once per
-    (p, k).
+    alpha = 1.  With k+1 = p^e * u, (k+1) * S mod m depends on S only
+    through S mod q = p^l, hence on alpha only through alpha mod q.
+    Writing alpha = 1 + y, p^s divides y^s, so at most l Taylor
+    coefficients of S(n, k, 1 + y) survive mod q, and k+1 times each is
+    exact mod m; each call is one Horner pass over those at
+    y = alpha mod m - 1.  The coefficients come from the falling-factorial
+    row mod q, folded onto one block of q terms (q divides n), not from a
+    series, so the check tests that row.  The modulus, the coefficients
+    and the right side come from _near_unity_sides, which the
+    --check-lemmas loop also reads, once per (p, k), over the scan's own
+    row mod n.
     """
     if n < 1 or k < 0:
         raise ValueError("closed_form_congruence requires n >= 1 and k >= 0")
     _require_prime(p)
     if alpha % p != 1:
         raise ValueError(f"alpha = {alpha} must be 1 mod {p}")
-    m, coeffs, rhs = _near_unity_sides(n, k, p)
+    ell = _valuation_of_int(n, p)
+    q = p**ell
+    m, coeffs, rhs = _near_unity_sides(n, k, p, _row(q, k, q))
     lhs = _horner(coeffs, alpha % m - 1, m)
     return CongruenceReport(
         p=p,
-        ell=_valuation_of_int(n, p),
+        ell=ell,
         lhs_times_kp1=Residue(lhs, m),
         rhs_times_kp1=Residue(rhs, m),
         congruent=lhs == rhs,

@@ -23,6 +23,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Collection, Iterator
 
 from .criterion import predict_vanishing, roots_of_unity
@@ -104,80 +105,90 @@ def _lemma_checks(n: int, max_k: int) -> list[str]:
     Covers the valuation case analysis of (n-1)-falling-k over k+1, the
     telescoping sum identity in multiplied form, the near-unity congruence
     for every prime p | n, and a few Leibnitz closed-form probes.  Returns
-    human-readable failure strings; an empty list means all checks passed.
+    human-readable failure strings, section by section in that order; an
+    empty list means all checks passed.
 
-    The telescoping identity sums the oracle's own memoized row of
-    i-falling-k mod n, the one the scan's direct sums read, so it checks
-    those entries rather than a second computation of them.  Its right
-    side, n-falling-(k+1) - 0-falling-(k+1), is 0 mod n for every n and k,
-    so (k+1) times the row sum is compared with 0.
+    The last three sections run in one ascending pass over k, and each
+    reads the scan's own memoized row of i-falling-k mod n, the one its
+    direct sums read, so they check those entries rather than a second
+    computation of them; right after _scan_unit the rows up to k = 255 are
+    still warm.  The telescoping identity's right side,
+    n-falling-(k+1) - 0-falling-(k+1), is 0 mod n for every n and k, so
+    (k+1) times the row sum is compared with 0.
 
-    The near-unity congruence covers every alpha == 1 (mod p) below n, and
-    both its sides depend on alpha only through alpha mod m = p^(l+e), with
-    l = nu_p(n) and e = nu_p(k+1).  Those classes are exactly
-    range(1, min(n, m), p).  For each (p, k) the modulus, the Taylor
-    coefficients of (k+1) * S(n, k, 1 + y) mod m and the right side are
-    taken once from _near_unity_sides, the computation
-    closed_form_congruence makes, and each class c is checked by its own
-    Horner pass at y = c - 1 over at most l + e coefficients, not over n
-    terms.  A failing class is reported once per alpha in it, in ascending
-    alpha order.
+    The near-unity congruence covers every alpha == 1 (mod p) below n.  With
+    q = p^l, l = nu_p(n), e = nu_p(k+1) and m = p^(l+e), both of its sides
+    mod m depend on alpha only through alpha mod q, since k+1 = p^e * u
+    makes (k+1) * S mod m a function of S mod q.  q divides n, so those
+    classes are exactly range(1, q, p).  For each (p, k) the modulus, the
+    Taylor coefficients of (k+1) * S(n, k, 1 + y) mod m and the right side
+    are taken once from _near_unity_sides, the computation
+    closed_form_congruence makes: the row mod n reduced mod q, folded onto
+    one block of q, and l synthetic divisions by x - 1.  Each class c is
+    then checked by its own Horner pass at y = c - 1 over at most l
+    coefficients, not over n terms.  A failing class is reported once per
+    alpha in it, in ascending alpha order.
     """
-    failures: list[str] = []
-
+    valuation: list[str] = []
     for k in range(1, max_k + 1):
         for p, _ in factorize(k + 1):
             vb = valuation_bounds(n, k, p)
             if vb.case == "a" and not vb.v >= vb.e:
-                failures.append(f"valuation case a: n={n} k={k} p={p} v={vb.v} < e={vb.e}")
+                valuation.append(f"valuation case a: n={n} k={k} p={p} v={vb.v} < e={vb.e}")
             if vb.case == "b":
                 if not vb.v >= vb.e - 1:
-                    failures.append(
+                    valuation.append(
                         f"valuation case b: n={n} k={k} p={p} v={vb.v} < e-1={vb.e - 1}"
                     )
                 if vb.v == vb.e - 1 and n % p != 0:
-                    failures.append(
+                    valuation.append(
                         f"valuation case b equality without p | n: n={n} k={k} p={p}"
                     )
             expect_negative = k + 1 in (4, p) and n % (k + 1) == 0
             if vb.fraction_negative != expect_negative:
-                failures.append(
+                valuation.append(
                     f"negative-fraction characterization: n={n} k={k} p={p} "
                     f"got {vb.fraction_negative}, expected {expect_negative}"
                 )
             if vb.fraction_negative and vb.v - vb.e != -1:
-                failures.append(
+                valuation.append(
                     f"negative fraction deficit not -1: n={n} k={k} p={p} v-e={vb.v - vb.e}"
                 )
 
+    parts = [(p, p**ell) for p, ell in factorize(n)]
+    telescoping: list[str] = []
+    near_unity: dict[int, list[str]] = {p: [] for p, _ in parts}
+    leibnitz: list[str] = []
+    # at n = 2 and n = 4, n - 2 repeats a probe
+    probes = [t for t in dict.fromkeys((0, 2, n - 2)) if t >= 0 and math.gcd(1 - t, n) == 1]
     for k in range(max_k + 1):
+        row = _falling_row(n, k, n)
         # the right side n-falling-(k+1) - 0-falling-(k+1) is 0 mod n: the
         # first product has the factor n, the second crosses zero
-        lhs = (k + 1) * sum(_falling_row(n, k, n)) % n
+        lhs = (k + 1) * sum(row) % n
         if lhs != 0:
-            failures.append(f"telescoping sum identity: n={n} k={k} lhs={lhs} rhs=0")
+            telescoping.append(f"telescoping sum identity: n={n} k={k} lhs={lhs} rhs=0")
 
-    for p, _ in factorize(n):
-        for k in range(max_k + 1):
-            m, coeffs, rhs = _near_unity_sides(n, k, p)
+        for p, q in parts:
+            m, coeffs, rhs = _near_unity_sides(n, k, p, row)
             bad: list[tuple[int, int]] = []
-            for c in range(1, min(n, m), p):
+            for c in range(1, q, p):
                 lhs = _horner(coeffs, c - 1, m)
                 if lhs != rhs:
-                    bad.extend((alpha, lhs) for alpha in range(c, n, m))
-            failures.extend(
+                    bad.extend((alpha, lhs) for alpha in range(c, n, q))
+            near_unity[p].extend(
                 f"near-unity congruence: n={n} k={k} p={p} alpha={alpha} lhs={lhs} rhs={rhs}"
                 for alpha, lhs in sorted(bad)
             )
 
-    for k in range(min(max_k, 6) + 1):
-        for t in (0, 2, n - 2):
-            if t < 0 or math.gcd(1 - t, n) != 1:
-                continue
-            if not leibnitz_identity_check(n, k, t, n):
-                failures.append(f"leibnitz closed form: n={n} k={k} t={t}")
+        if k <= 6:
+            leibnitz.extend(
+                f"leibnitz closed form: n={n} k={k} t={t}"
+                for t in probes
+                if not leibnitz_identity_check(n, k, t, n)
+            )
 
-    return failures
+    return [*valuation, *telescoping, *chain.from_iterable(near_unity.values()), *leibnitz]
 
 
 def _scan_unit(

@@ -201,21 +201,26 @@ class TestFallingRow:
 class TestNearUnityCoefficients:
     def test_classes_match_direct_sum(self):
         # every alpha == 1 (mod p) below 3n, for every p | n and, with
-        # m = p^e or m = 1, for small primes not dividing n
+        # q = 1 and m = p^e or m = 1, for small primes not dividing n; the
+        # scan's row mod n and closed_form_congruence's row mod q give the
+        # same sides
         shapes = set()
         for n in range(1, 81):
             for p in sorted({p for p, _ in factorize(n)} | {2, 3, 5, 7}):
                 for k in range(n + 3):
-                    m, coeffs, rhs = _near_unity_sides(n, k, p)
                     ell, e = brute_valuation(n, p), brute_valuation(k + 1, p)
-                    assert m == p ** (ell + e) and len(coeffs) <= ell + e, (n, k, p)
+                    q = p**ell
+                    m, coeffs, rhs = sides = _near_unity_sides(n, k, p, _row(n, k, n))
+                    assert sides == _near_unity_sides(n, k, p, _row(q, k, q)), (n, k, p)
+                    assert m == p ** (ell + e) and len(coeffs) <= ell, (n, k, p)
                     assert rhs == exact_falling(n - 1, k) * n % m
                     for alpha in range(1, 3 * n, p):
                         lhs = (k + 1) * _sum_mod(n, k, alpha, m) % m
                         assert _horner(coeffs, alpha % m - 1, m) == lhs, (n, k, p, alpha)
-                    shapes.add("m = 1" if m == 1 else "k >= m" if k >= m else
-                               "n < m" if n < m else "tail" if n % m > k else "full")
-        assert shapes == {"m = 1", "k >= m", "n < m", "tail", "full"}
+                        assert _horner(coeffs, alpha % q - 1, m) == lhs, (n, k, p, alpha)
+                    shapes.add("q = 1" if q == 1 else "k >= q" if k >= q else
+                               "q = n" if q == n else "q < n")
+        assert shapes == {"q = 1", "k >= q", "q = n", "q < n"}
 
     def test_closed_form_congruence_reads_the_coefficients(self):
         # p need not divide n: then l = 0 and m = p^e, down to m = 1
@@ -229,17 +234,18 @@ class TestNearUnityCoefficients:
                         assert rep.congruent, (n, k, alpha, p)
 
     def test_coefficients_at_a_glance(self):
-        # m = 16 > n = 8, so nothing folds: 2 * S(8, 1, 1 + y) is the sum
-        # over s of 2 * (s+1) * C(8, s+2) * y^s, whose first l + e = 4
-        # coefficients 56, 224, 420, 448 reduce to 8, 0, 4, 0 mod 16
-        assert _near_unity_sides(8, 1, 2) == (16, (8, 0, 4, 0), 7 * 8 % 16)
-        # n = 30 folds onto blocks of m = 9; the constant term is still
+        # q = n = 8, so nothing folds: S(8, 1, 1 + y) is the sum over s of
+        # (s+1) * C(8, s+2) * y^s, whose first l = 3 coefficients 28, 112,
+        # 210 reduce to 4, 0, 2 mod 8, and k + 1 = 2 lifts them to 8, 0, 4
+        # mod m = 16
+        assert _near_unity_sides(8, 1, 2, _row(8, 1, 8)) == (16, (8, 0, 4), 7 * 8 % 16)
+        # n = 30 folds onto 10 blocks of q = 3; the constant term is still
         # 3 * S(30, 2, 1) = 6 * C(30, 3) = 24360 == 6 (mod 9)
-        assert _near_unity_sides(30, 2, 3) == (9, (6, 0), 29 * 28 * 30 % 9)
-        # k >= m: every i-falling-k is 0 mod m
-        assert _near_unity_sides(9, 10, 3) == (9, (), 0)
+        assert _near_unity_sides(30, 2, 3, _row(30, 2, 30)) == (9, (6,), 29 * 28 * 30 % 9)
+        # k >= q: every i-falling-k is 0 mod q
+        assert _near_unity_sides(9, 10, 3, ()) == (9, (), 0)
         # p divides neither n nor k + 1
-        assert _near_unity_sides(6, 0, 5) == (1, (), 0)
+        assert _near_unity_sides(6, 0, 5, _row(6, 0, 6)) == (1, (), 0)
 
 
 class TestSumByCrt:

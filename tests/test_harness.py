@@ -89,15 +89,15 @@ class TestResidueClassMemos:
         from oracles import brute_valuation
         from rootsum import closed_form_congruence, derivsum
 
-        # 72 = 2^3 * 3^2 and nu_3(3) = 1, so the class of 4 mod 27 at
-        # (p, k) = (3, 2), evaluated at y = 4 - 1
-        target = derivsum._near_unity_sides(72, 2, 3)[1]
+        # 72 = 2^3 * 3^2 and nu_3(3) = 1, so the class of 4 mod 9 at
+        # (p, k) = (3, 2), evaluated mod 27 at y = 4 - 1
+        target = derivsum._near_unity_sides(72, 2, 3, derivsum._row(72, 2, 72))[1]
         real_horner, real_sides = derivsum._horner, harness._near_unity_sides
         visits = []
 
-        def sides(n, k, p):
+        def sides(n, k, p, row):
             visits.append(((p, k), []))
-            return real_sides(n, k, p)
+            return real_sides(n, k, p, row)
 
         def failing_one_class(coeffs, a, m):
             # the Horner pass closed_form_congruence runs
@@ -115,7 +115,6 @@ class TestResidueClassMemos:
         monkeypatch.setattr(harness, "_near_unity_sides", sides)
         monkeypatch.setattr(harness, "_horner", counted)
         monkeypatch.setattr(derivsum, "_horner", failing_one_class)
-        # k = 8 gives m = 3^4 = 81 > n, where the classes stop below n
         n, max_k = 72, 8
         failures = harness._lemma_checks(n, max_k)
 
@@ -124,27 +123,30 @@ class TestResidueClassMemos:
         assert report.rhs_times_kp1 == good.rhs_times_kp1
         tail = f"lhs={report.lhs_times_kp1.value} rhs={report.rhs_times_kp1.value}"
         assert failures == [
-            f"near-unity congruence: n=72 k=2 p=3 alpha={alpha} {tail}" for alpha in (4, 31, 58)
+            f"near-unity congruence: n=72 k=2 p=3 alpha={alpha} {tail}"
+            for alpha in range(4, 72, 9)
         ]
         assert sorted(key for key, _ in visits) == [
             (p, k) for p in (2, 3) for k in range(max_k + 1)
         ]
         for (p, k), classes in visits:
-            m = p ** (brute_valuation(n, p) + brute_valuation(k + 1, p))
-            assert sorted(classes) == sorted({alpha % m - 1 for alpha in range(1, n, p)})
+            q = p ** brute_valuation(n, p)
+            assert sorted(classes) == sorted({alpha % q - 1 for alpha in range(1, n, p)})
 
     def test_near_unity_loop_and_closed_form_congruence_are_one_computation(self, monkeypatch):
+        from oracles import brute_valuation
         from rootsum import closed_form_congruence
 
         real_sides = harness._near_unity_sides
         rhs_seen = {}
 
-        def every_class_fails(n, k, p):
+        def every_class_fails(n, k, p, row):
             # a right side no lhs in [0, m) can equal, so _lemma_checks lists
             # every alpha with the lhs it computed for alpha's class
-            m, coeffs, rhs = real_sides(n, k, p)
+            m, coeffs, rhs = real_sides(n, k, p, row)
             rhs_seen[n, k, p] = rhs
-            assert set(range(1, min(n, m), p)) == {a % m for a in range(1, n, p)}
+            q = p ** brute_valuation(n, p)
+            assert set(range(1, q, p)) == {a % q for a in range(1, n, p)}
             return m, coeffs, -1
 
         monkeypatch.setattr(harness, "_near_unity_sides", every_class_fails)
@@ -196,8 +198,9 @@ class TestLemmaChecks:
         assert harness._lemma_checks(72, 5) == []
         monkeypatch.setattr(harness, "_falling_row", corrupt_one_entry)
         failures = harness._lemma_checks(72, 5)
-        assert len(failures) == 1
-        assert failures[0].startswith("telescoping sum identity: n=72 k=3 ")
+        # the near-unity classes of p = 3 read the same row, entries 0..5
+        assert any(f.startswith("telescoping sum identity: n=72 k=3 ") for f in failures)
+        assert all(" n=72 k=3 " in f for f in failures)
 
     def test_telescoping_right_side_is_zero_mod_n(self):
         # _lemma_checks compares (k+1) * row sum with 0, because the right
@@ -213,10 +216,10 @@ class TestLemmaChecks:
                 assert (k + 1) * sum(exact_falling(i, k) for i in range(n)) == exact
                 assert exact % n == 0
 
-    def test_near_unity_classes_cost_at_most_l_plus_e_coefficients(self, monkeypatch):
+    def test_near_unity_classes_cost_at_most_l_coefficients(self, monkeypatch):
         # n = 2^12 has 2048 classes at every k <= 12, each read over at most
-        # l + e = 12 + nu_2(k+1) coefficients: 2048 * (13 * 12 + 10) in all.
-        # A Horner pass per class over the m/p period sums reads 79,618,048
+        # l = 12 coefficients: 2048 * 13 * 12 in all.  A Horner pass per
+        # class over the m/p period sums reads 79,618,048
         real = harness._horner
         reads = []
 
@@ -227,7 +230,37 @@ class TestLemmaChecks:
         monkeypatch.setattr(harness, "_horner", counting)
         assert harness._lemma_checks(4096, 12) == []
         assert len(reads) == 2048 * 13
-        assert sum(reads) <= 339_968
+        assert sum(reads) <= 319_488
+
+    @pytest.mark.parametrize("n, top", [(256, 255), (72, 12)])
+    def test_lemma_checks_read_only_the_rows_the_scan_built(self, monkeypatch, n, top):
+        # every row the checks ask for is a row mod n that _scan_unit has
+        # just built, so not one is missed, even with all 256 rows in use
+        from rootsum import derivsum
+
+        real = derivsum._falling_row
+        asked = set()
+
+        def recording(n, k, m):
+            asked.add((n, m))
+            return real(n, k, m)
+
+        real.cache_clear()
+        harness._scan_unit(n, top, DROP_NONE, False)
+        misses = real.cache_info().misses
+        monkeypatch.setattr(harness, "_falling_row", recording)
+        monkeypatch.setattr(derivsum, "_falling_row", recording)
+        assert harness._lemma_checks(n, top) == []
+        assert real.cache_info().misses == misses
+        assert asked == {(n, n)}
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_each_leibnitz_probe_is_listed_once(self, monkeypatch, n):
+        # the probes t = 0, 2, n - 2 repeat a t at n = 2 and n = 4
+        monkeypatch.setattr(harness, "leibnitz_identity_check", lambda n, k, t, m: False)
+        prefix = "leibnitz closed form: "
+        failures = [f for f in harness._lemma_checks(n, n - 1) if f.startswith(prefix)]
+        assert failures == [f"{prefix}n={n} k={k} t={t}" for k in range(n) for t in (0, 2)]
 
     def test_every_k_below_n_is_clean(self):
         # every e, and every row k < n, through the lemma checks
