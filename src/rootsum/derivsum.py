@@ -296,16 +296,14 @@ def _near_unity_sides(
     # every alpha == 1 (mod p) and y == alpha - 1 (mod q), and the right side
     # (n-1)-falling-k * n mod m.  p is prime, q = p^l, and row is
     # i-falling-k modulo any multiple of q for k <= i < q (or longer).  With
-    # k+1 = p^e * u, (k+1) * S mod m depends on S only through S mod q, so
-    # only S mod q is needed.  i-falling-k mod q has period q in i and
-    # alpha^q == 1 (mod q), and q divides n, so the n - k terms fold onto one
-    # block of q exactly n/q times; each synthetic division by x - 1 then
-    # peels off one coefficient of S, and l of them suffice because p^s
-    # divides y^s.  The divisions run on the row's own entries and only the
-    # peeled coefficients are reduced mod q: at most l passes grow the sums
-    # by a factor of at most q each, and skipping the reduction of every
-    # partial sum halves the fold's time over n <= 150.  Scaling by
-    # (k+1) * (n/q) lifts the coefficients into mod m.
+    # k+1 = p^e * u, (k+1) * S mod m depends on S only through S mod q.
+    # i-falling-k mod q has period q in i and alpha^q == 1 (mod q), and q
+    # divides n, so the n - k terms fold onto one block of q exactly n/q
+    # times; each synthetic division by x - 1 then peels off one coefficient
+    # of S, and l of them suffice because p^s divides y^s.  Only the peeled
+    # coefficients are reduced mod q: l passes grow the sums by a factor of
+    # at most q each, and reducing every partial sum doubled the fold's time
+    # over n <= 150.  Scaling by (k+1) * (n/q) lifts them into mod m.
     ell = _valuation_of_int(n, p)
     q = p**ell
     m = q * p ** _valuation_of_int(k + 1, p)
